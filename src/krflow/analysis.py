@@ -26,11 +26,21 @@ Monitored quantities per sample:
             Lap_E psi = tr_E(e^t g|_fiber - g_flat),  psi = e^t phi - rho
 * distance_to_limit: sup |g_bb - chi|
 
-The fast per-sample path expresses every derivative of g through one rfft
-of  w = e^{-t} psi_0 + phi  (whose Hessian carries all non-product content
-of g) plus closed-form derivatives of the base form; a slow generic path
-using full complex transforms implements the same tensors independently
-and is cross-checked in the tests.
+The fast per-sample path (MonitorEngine) expresses every derivative of g
+through one rfft of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
+non-product content of g) plus closed-form derivatives of the base form:
+23 distinct whole-grid fields.  Everything after that runs one first-axis
+base index (a slab of n_base * n_fiber^2 points) at a time, so the working
+set of the pointwise algebra stays cache-sized.  On each slab g = L L* is
+factored by the closed-form 2x2 Cholesky and every tensor index is moved
+into the orthonormal frame E = L^{-1}: holomorphic slots take E,
+antiholomorphic slots conj(E), since g^{-1} = E* E.  Each norm is then a
+plain sum of squared moduli, nonnegative by construction.
+
+A slow generic path using full complex transforms, stacked 2x2 tensors
+and einsum contractions against g^{-1} implements the same tensors
+independently.  It shares no contraction code with the engine and is kept
+as the reference the tests cross-check it against.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ def _stack_inv(g: HermitianField, shape) -> np.ndarray:
     return _stack(inv, shape)
 
 
-# -- tensor assembly (shared by fast and generic paths) --------------------
+# -- tensor assembly (generic path) ----------------------------------------
 
 
 def _assemble_w(d_stack, g_stack, gamma):
@@ -260,6 +270,43 @@ def covariant_hessian_squared(
     return 2.0 * (_contract_hh_norm(ginv, t) + _contract_ha_norm(ginv, m2))
 
 
+# -- orthonormal frame (engine path) ---------------------------------------
+
+
+def _frame(bb, bf, ff):
+    """E = L^{-1} for the closed-form Cholesky factor of g = L L*.
+
+    E is lower triangular with real positive diagonal, so g^{-1} = E* E;
+    returns (e00, e10, e11).
+    """
+    r_bb = np.sqrt(bb)
+    r_det = np.sqrt(bb * ff - np.abs(bf) ** 2)
+    return 1.0 / r_bb, -np.conj(bf) / (r_bb * r_det), r_bb / r_det
+
+
+def _to_frame(t, frame, slots):
+    """Move every leading tensor index of t into the frame, in place.
+
+    t has shape (2,) * len(slots) + slab; slots[n] is 'h' for a holomorphic
+    index (it takes E) or 'a' for an antiholomorphic one (it takes conj(E)).
+    """
+    e00, e10, e11 = frame
+    e10_bar = np.conj(e10)
+    for axis, slot in enumerate(slots):
+        lead = (slice(None),) * axis
+        lo, hi = t[lead + (0,)], t[lead + (1,)]
+        hi *= e11
+        hi += (e10 if slot == "h" else e10_bar) * lo
+        lo *= e00
+    return t
+
+
+def _sum_sq(t, rank):
+    """Sum of squared moduli over the leading `rank` tensor axes."""
+    t = t.reshape((-1,) + t.shape[rank:])
+    return np.sum(t.real**2 + t.imag**2, axis=0)
+
+
 # -- monitor record --------------------------------------------------------
 
 
@@ -296,7 +343,10 @@ class MonitorEngine:
 
     Precomputes base-form derivative tables and the half-spectrum symbol
     products that turn derivatives of g into two real inverse transforms of
-    the single rfft of  w = e^{-t} psi_0 + phi  per field.
+    the single rfft of  w = e^{-t} psi_0 + phi  per field.  The curvature
+    monitors contract the 23 distinct derivative fields slab by slab in the
+    pointwise orthonormal frame of g, with no whole-grid tensor stacks: the
+    only whole-grid arrays are those fields and the three output fields.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -379,65 +429,86 @@ class MonitorEngine:
         im = self.grid.irfft(s_im * w_spec)
         return re + 1j * im
 
-    # .. fast derivative stacks ...........................................
-
-    def _fast_stacks(self, w_spec, a_t):
-        shape = self.grid.shape
-        d = np.empty(shape + (2, 2, 2), dtype=np.complex128)
-        dd = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
-        dh = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
-        da = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
-
-        # Mixed partials coincide after sorting the index multisets, so only
-        # 23 of the 56 requested fields are distinct; memoize per call.
-        cache = {}
-
-        def field(holo, anti):
-            key = self._key(holo, anti)
-            if key not in cache:
-                cache[key] = self._field(w_spec, *key)
-            return cache[key]
-
-        for m in range(2):
-            for i in range(2):
-                for q in range(2):
-                    d[..., m, i, q] = field((m, i), (q,))
-        d[..., 0, 0, 0] += a_t * self.dchi
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        dd[..., i, j, k, l] = field((k, i), (l, j))
-                        dh[..., i, j, k, l] = field((i, j, k), (l,))
-                        da[..., i, j, k, l] = field((j, k), (i, l))
-        dd[..., 0, 0, 0, 0] += a_t * self.ddbar_chi
-        dh[..., 0, 0, 0, 0] += a_t * self.dd_chi
-        da[..., 0, 0, 0, 0] += a_t * self.ddbar_chi
-        return d, dd, dh, da
-
     # .. per-sample record ................................................
 
     def curvature_fields(self, t: float, phi: np.ndarray, g: HermitianField):
-        """Pointwise (s, rm2, grad2) fields via the folded-derivative path."""
+        """Pointwise (s, rm2, grad2) fields, contracted in an orthonormal frame."""
         grid = self.grid
         geom = self.geometry
         shape = grid.shape
         a_t = 1.0 + (geom.spec.base_scale - 1.0) * math.exp(-t)
-        w = math.exp(-t) * geom.psi0 + phi
-        w_spec = grid.rfft(w)
-        d, dd, dh, da = self._fast_stacks(w_spec, a_t)
+        w_spec = grid.rfft(math.exp(-t) * geom.psi0 + phi)
+        # Mixed partials coincide after sorting the index multisets, so the
+        # 56 components of D, DD, DH and DA need only these 23 fields.
+        f = {key: self._field(w_spec, *key) for key in self._symbols}
+        # The base form a_t * chi enters only the pure-base components.
+        f[((0, 0), (0,))] += a_t * self.dchi
+        f[((0, 0), (0, 0))] += a_t * self.ddbar_chi
+        f[((0, 0, 0), (0,))] += a_t * self.dd_chi
 
-        g_stack = _stack(g, shape)
-        ginv = _stack_inv(g, shape)
-        w_cov = _assemble_w(d, g_stack, self.gamma)
-        s_field, _ = _contract_s(g_stack, ginv, w_cov)
-        rm2_field, _ = _contract_rm2(ginv, d, dd)
-        t_tensor = _assemble_t(dh, d, w_cov, g_stack, self.gamma, self.dgamma_h)
-        m2_tensor = _assemble_m2(da, d, w_cov, g_stack, self.gamma, self.dgamma_a)
-        grad2_field = 2.0 * (
-            _contract_hh_norm(ginv, t_tensor) + _contract_ha_norm(ginv, m2_tensor)
-        )
+        s_field = np.empty(shape)
+        rm2_field = np.empty(shape)
+        grad2_field = np.empty(shape)
+        bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
+        for ib in range(shape[0]):
+            s_field[ib], rm2_field[ib], grad2_field[ib] = self._slab_norms(
+                f, ib, bb[ib], bf[ib], ff[ib])
         return s_field, rm2_field, grad2_field
+
+    def _slab_norms(self, f, ib, bb, bf, ff):
+        """(s, rm2, grad2) on base slab ib from the derivative fields f.
+
+        Tensors hold their components on leading axes of length 2, in the
+        index order of the generic path's stacked tensors.
+        """
+        key = self._key
+        gamma, dgamma_h, dgamma_a = self.gamma[ib], self.dgamma_h[ib], self.dgamma_a[ib]
+        g0 = (bb, bf)  # g_{0 lbar}
+
+        def gather(rank, pick):
+            out = np.empty((2,) * rank + bb.shape, dtype=np.complex128)
+            for idx in np.ndindex(*out.shape[:rank]):
+                out[idx] = f[key(*pick(*idx))][ib]
+            return out
+
+        d = gather(3, lambda m, i, q: ((m, i), (q,)))            # d_m g_{i qbar}
+        dd = gather(4, lambda i, j, k, l: ((k, i), (l, j)))      # d_k dbar_l g_{i jbar}
+        t = gather(4, lambda i, j, k, l: ((i, j, k), (l,)))      # d_i d_j g_{k lbar}
+        m2 = gather(4, lambda i, j, k, l: ((j, k), (i, l)))      # dbar_i d_j g_{k lbar}
+
+        # gamma corrections, on the components where they are nonzero:
+        # W = nabla~ g, T = nabla~ W, M2 = nabla~bar W.
+        w = d.copy()
+        for l in range(2):
+            w[0, 0, l] -= gamma * g0[l]
+        for i, j, k, l in np.ndindex(2, 2, 2, 2):
+            if j == 0 and k == 0:
+                if i == 0:
+                    t[i, j, k, l] -= dgamma_h * g0[l]
+                    m2[i, j, k, l] -= dgamma_a * g0[l]
+                t[i, j, k, l] -= gamma * d[i, 0, l]
+                m2[i, j, k, l] -= gamma * np.conj(d[i, l, 0])
+            if i == 0 and j == 0:
+                t[i, j, k, l] -= gamma * w[0, k, l]
+            if i == 0 and k == 0:
+                t[i, j, k, l] -= gamma * w[j, 0, l]
+            if i == 0 and l == 0:
+                m2[i, j, k, l] -= np.conj(gamma) * w[j, k, 0]
+
+        frame = _frame(bb, bf, ff)
+        _to_frame(w, frame, "hha")
+        _to_frame(t, frame, "hhha")
+        _to_frame(m2, frame, "ahha")
+        # Rm_{i jbar k lbar} = quad - dd with quad = g^{qbar p} d_k g_{i qbar}
+        # conj(d_l g_{j pbar}); in the frame, quad = sum_m D'[k,i,m]
+        # conj(D'[l,j,m]) with D' the frame transform of d.
+        _to_frame(d, frame, "hha")
+        _to_frame(dd, frame, "haha")
+        a = d.swapaxes(0, 1)  # a[i, k, m] = D'[k, i, m]
+        rm = a[:, None, :, None, 0] * np.conj(a[None, :, None, :, 0])
+        rm += a[:, None, :, None, 1] * np.conj(a[None, :, None, :, 1])
+        rm -= dd
+        return _sum_sq(w, 3), _sum_sq(rm, 4), 2.0 * (_sum_sq(t, 4) + _sum_sq(m2, 4))
 
     def record(self, problem, t: float, phi: np.ndarray, rhs: np.ndarray,
                g: HermitianField) -> MonitorRecord:

@@ -317,10 +317,10 @@ def _analysis_summary(cfg: RunConfig, records) -> dict:
     except InsufficientSamples:
         out["fit_passed"] = "not_enough_samples"
     try:
-        rep = fiber_flatness_rates(records, t0, t1)
-        for k in range(3):
-            out[f"fiber_slope_{k}"] = rep.slopes[k]
-        out["delta_psi_residual_max"] = rep.residual_max
+        # Only the identity residual: on the fit window the fiber monitors
+        # are the stepper's O(dt^2) error, so their log-slopes would report
+        # the integrator, not a flow rate.
+        out["delta_psi_residual_max"] = fiber_flatness_rates(records, t0, t1).residual_max
     except InsufficientSamples:
         pass
     try:

@@ -92,6 +92,19 @@ def homogeneous_potential(a0: float, t_eval, dt: float = 1e-3) -> np.ndarray:
     return out
 
 
+def sample_times(t_end: float, interval: float) -> list:
+    """Sorted sample times: the multiples k * interval <= t_end, plus t_end.
+
+    A multiple may exceed t_end by 1e-12 (the steppers' event slack), so a
+    commensurate interval ends exactly on its last multiple; times are
+    rounded to 12 decimals.
+    """
+    times = {round(k * interval, 12) for k in range(1, int(t_end / interval) + 2)
+             if k * interval <= t_end + 1e-12}
+    times.add(round(t_end, 12))
+    return sorted(times)
+
+
 @dataclass
 class FlowOptions:
     t_end: float = 10.0
@@ -225,11 +238,16 @@ class FlowProblem:
     def _rhs_from_spec(self, w, w_spec, t):
         g = self.geometry.hat(t) + self._hessian_from_spec(w_spec)
         det = g.det()
-        if np.min(g.bb) <= 0.0 or np.min(g.ff) <= 0.0 or np.min(det) <= 0.0:
+        mins = (float(np.min(g.bb)), float(np.min(g.ff)), float(np.min(det)))
+        # A NaN anywhere propagates into its block's minimum, and it fails
+        # no `<= 0` test; halving dt cannot repair it, so it is not
+        # PositivityLost.
+        if any(math.isnan(m) for m in mins):
+            raise NonFiniteValue(f"evolving form lost finiteness at t={t:.6f}")
+        if min(mins) <= 0.0:
             raise PositivityLost(
                 f"evolving form left the positive cone at t={t:.6f}: "
-                f"min bb {np.min(g.bb):.3e}, min ff {np.min(g.ff):.3e}, "
-                f"min det {np.min(det):.3e}"
+                "min bb {:.3e}, min ff {:.3e}, min det {:.3e}".format(*mins)
             )
         rhs = t + np.log(det) - self.log_omega - w
         return rhs, g
@@ -265,8 +283,9 @@ class FlowProblem:
     ) -> FlowResult:
         """Integrate from phi = 0 at t = 0 to t_end.
 
-        Samples land on exact multiples of sample_interval (plus any
-        snapshot times and t_end); dt is clipped to hit them.  `sampler`,
+        Samples land on the multiples of sample_interval up to t_end, plus
+        t_end itself (see sample_times), and on any snapshot times; dt is
+        clipped to hit them, and the run never passes t_end.  `sampler`,
         if given, is called as sampler(problem, t, phi, rhs, g) at each
         sample time and its return value collected into result.records.
         """
@@ -276,9 +295,7 @@ class FlowProblem:
         t = 0.0
         steps = 0
 
-        n_samples = int(round(opts.t_end / opts.sample_interval))
-        sample_set = {round(i * opts.sample_interval, 12) for i in range(1, n_samples + 1)}
-        sample_set.add(round(opts.t_end, 12))
+        sample_set = set(sample_times(opts.t_end, opts.sample_interval))
         events = set(sample_set)
         events |= {round(float(s), 12) for s in snapshot_times if 0.0 < s <= opts.t_end}
         event_list = sorted(events)

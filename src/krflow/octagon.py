@@ -43,6 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigInvalid, NonFiniteValue, OutOfDomain, PositivityLost
+from .flow import sample_times
 
 ALPHA = 1.0 + math.sqrt(2.0)
 BETA_ABS = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
@@ -444,10 +445,8 @@ def run_base_flow(
     dt = min(dt_max, cfl * 2.8 / stiff)
 
     result = BolzaFlowResult()
-    n_samples = int(round(t_end / sample_interval))
-    targets = [round(i * sample_interval, 12) for i in range(1, n_samples + 1)]
     t = 0.0
-    for target in targets:
+    for target in sample_times(t_end, sample_interval):
         while t < target - 1e-12:
             step = min(dt, target - t)
             k1 = rhs(phi)

@@ -61,6 +61,32 @@ class TestEngineVsGeneric:
         assert rel_gap(rm2_f, rm2_g) < 1e-10
         assert rel_gap(grad2_f, grad2_g) < 1e-10
 
+    def test_strongly_off_diagonal_metric_matches_generic_path(self):
+        # A base-fiber cross mode makes |g_bf|^2 / (g_bb g_ff) large, so the
+        # off-diagonal entry of the orthonormal frame carries real weight.
+        grid, geom, prob = make_problem(
+            base_scale=1.3, fiber_scale=2.0, psi0_preset="mixed",
+            psi0_amplitude=0.03)
+        x, _, u, v = grid.coords
+        phi = np.ascontiguousarray(np.broadcast_to(
+            0.04 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * (u + v)), grid.shape))
+        t = 0.7
+        g = prob.metric(phi, t)
+        assert np.max(np.abs(g.bf) ** 2 / (g.bb * g.ff)) >= 0.5
+        eng = MonitorEngine(prob)
+        fast = eng.curvature_fields(t, phi, g)
+
+        s_g, _ = christoffel_deviation(grid, g, geom.gamma_b)
+        generic = (
+            s_g,
+            curvature_squared(grid, g),
+            covariant_hessian_squared(grid, g, geom.gamma_b, eng.dgamma_h, eng.dgamma_a),
+        )
+        for f, ref in zip(fast, generic):
+            assert f.shape == grid.shape
+            assert np.min(f) >= 0.0
+            assert rel_gap(f, ref) < 1e-10
+
     def test_psi_tensor_symmetric_in_lower_holomorphic_indices(self):
         # The two holomorphic slots of Psi come from d_i g_{k lbar} with the
         # closedness symmetry d_i g_{k lbar} = d_k g_{i lbar}; the generic

@@ -168,6 +168,24 @@ snapshot_interval = {snap}
 """
 
 
+class TestAnalysisSummary:
+    def test_summary_reports_residual_but_no_fiber_slopes(self):
+        # On the fit window the fiber monitors are the stepper's O(dt^2)
+        # error, so the summary carries no log-slope of them.
+        records = []
+        for k in range(1, 31):
+            t = 0.2 * k
+            vals = dict.fromkeys(MonitorRecord.field_names(), 1e-3)
+            vals.update(t=t, sup_phi=(1.0 + t) * math.exp(-t),
+                        fiber_dev0=math.exp(-2.0 * t), fiber_dev1=math.exp(-2.0 * t),
+                        fiber_dev2=math.exp(-2.0 * t), delta_psi_residual=1e-9 * k)
+            records.append(MonitorRecord(**vals))
+        summary = cli._analysis_summary(cli.parse_config(""), records)
+        assert not [key for key in summary if key.startswith("fiber_slope")]
+        assert summary["delta_psi_residual_max"] == pytest.approx(1e-9 * 30)
+        assert summary["fit_passed"] is True
+
+
 class TestSimulate:
     def test_end_to_end_artifacts(self, tmp_path):
         out = tmp_path / "run"

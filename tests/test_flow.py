@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from krflow.discretization import SpectralGrid
-from krflow.errors import ConfigInvalid, PositivityLost
+from krflow.errors import ConfigInvalid, NonFiniteValue, PositivityLost
 from krflow.flow import (
     FlowOptions,
     FlowProblem,
     HomogeneousCoefficients,
+    _Imex2Stepper,
     homogeneous_potential,
     product_reduced_run,
+    sample_times,
 )
 from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow import oracle
@@ -52,6 +54,13 @@ class TestRightHandSide:
         bad = 0.2 * np.cos(TP * x) * np.ones(p.grid.shape)  # bb dips below zero
         with pytest.raises(PositivityLost):
             p.rhs(bad, 0.0)
+
+    def test_nan_state_raises_non_finite_on_one_step(self):
+        p = problem()
+        phi = np.zeros(p.grid.shape)
+        phi[1, 2, 3, 4] = np.nan
+        with pytest.raises(NonFiniteValue):
+            _Imex2Stepper(p)(phi, 0.0, 0.01)
 
 
 class TestHomogeneous:
@@ -125,6 +134,38 @@ class TestRunMechanics:
         with pytest.raises(PositivityLost):
             p.run(FlowOptions(t_end=0.1, dt_max=0.05, max_halvings=3, sample_interval=0.1))
         assert calls["n"] == 4  # initial try plus three halvings
+
+    def test_nan_state_is_not_retried_by_halving(self, monkeypatch):
+        # From the second evaluation on, the metric is NaN; the run must stop
+        # at once instead of halving dt max_halvings times.
+        p = problem()
+        calls = {"n": 0}
+        original = p._rhs_from_spec
+
+        def poisoned(w, spec, t):
+            calls["n"] += 1
+            return original(w, spec if calls["n"] == 1 else spec * np.nan, t)
+
+        monkeypatch.setattr(p, "_rhs_from_spec", poisoned)
+        with pytest.raises(NonFiniteValue):
+            p.run(FlowOptions(t_end=0.1, dt_max=0.05, max_halvings=40, sample_interval=0.1))
+        assert calls["n"] == 2
+
+    def test_samples_never_pass_t_end(self):
+        res = problem().run(FlowOptions(t_end=1.0, dt_max=0.0125, sample_interval=0.6))
+        assert res.final_t == 1.0
+        assert [s.t for s in res.states] == [0.6, 1.0]
+
+    def test_commensurate_sample_times_are_the_multiples(self):
+        # Every shipped config and benchmark workload samples at multiples
+        # that divide t_end; those event lists are the rounded multiples.
+        for t_end, interval in ((8.0, 0.1), (6.0, 0.2), (8.0, 0.05), (0.125, 0.125),
+                                (3.0, 0.5), (10.0, 0.5), (1.0, 0.5)):
+            n = round(t_end / interval)
+            expected = [round(k * interval, 12) for k in range(1, n + 1)]
+            assert sample_times(t_end, interval) == expected
+        assert sample_times(1.0, 0.6) == [0.6, 1.0]
+        assert sample_times(0.3, 0.7) == [0.3]
 
 
 class TestSchemeAgreement:

@@ -220,6 +220,11 @@ class TestBaseFlow:
         # transient curvature is already nearly constant at coarse mesh
         assert result.curvature_spread < 5e-3
 
+    def test_non_commensurate_interval_ends_at_t_end(self):
+        grid = OctagonGrid(n=48)
+        result = run_base_flow(grid, t_end=1.0, sample_interval=0.6)
+        assert result.ts == [0.6, 1.0]
+
     def test_cli_entry_writes_series_and_summary(self, tmp_path):
         from krflow.cli import parse_config
 
