@@ -66,6 +66,19 @@ class HomogeneousCoefficients:
         return self.b0 * np.exp(-np.asarray(t, dtype=float))
 
 
+def rk4_step(f, t, y, h):
+    """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) by h.
+
+    The production RK4 loops share it (the verification oracles keep
+    their own integrators); `y` may be a float or an array.
+    """
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def homogeneous_potential(a0: float, t_eval, dt: float = 1e-3) -> np.ndarray:
     """Integrate d(phi)/dt = log a(t) - phi with fixed-step classical RK4.
 
@@ -82,11 +95,7 @@ def homogeneous_potential(a0: float, t_eval, dt: float = 1e-3) -> np.ndarray:
     for i, target in enumerate(t_eval):
         while t < target - 1e-14:
             h = min(dt, target - t)
-            k1 = f(t, y)
-            k2 = f(t + h / 2, y + h / 2 * k1)
-            k3 = f(t + h / 2, y + h / 2 * k2)
-            k4 = f(t + h, y + h * k3)
-            y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = rk4_step(f, t, y, h)
             t += h
         out[i] = y
     return out
@@ -262,11 +271,7 @@ class FlowProblem:
     # -- stepping ----------------------------------------------------------
 
     def _step_rk4(self, phi, t, dt):
-        k1, _ = self.rhs(phi, t)
-        k2, _ = self.rhs(phi + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, _ = self.rhs(phi + 0.5 * dt * k2, t + 0.5 * dt)
-        k4, _ = self.rhs(phi + dt * k3, t + dt)
-        return phi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return rk4_step(lambda tt, p: self.rhs(p, tt)[0], t, phi, dt)
 
     def _rk4_dt(self, phi, t, opts: FlowOptions) -> float:
         _, g = self.rhs(phi, t)
@@ -402,11 +407,7 @@ class _Reduced2D:
         t = 0.0
         while t < t_end - 1e-12:
             h = min(dt, t_end - t)
-            k1 = self.rhs(phi, t)
-            k2 = self.rhs(phi + 0.5 * h * k1, t + 0.5 * h)
-            k3 = self.rhs(phi + 0.5 * h * k2, t + 0.5 * h)
-            k4 = self.rhs(phi + h * k3, t + h)
-            phi = phi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phi = rk4_step(lambda tt, p: self.rhs(p, tt), t, phi, h)
             t += h
         return phi
 

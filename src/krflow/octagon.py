@@ -18,7 +18,13 @@ through the group and the field is read there by high-order (tensor
 quintic) interpolation.
 The fold/interpolate relation is linear, so the ghost layer is solved
 exactly once per operator application through a pre-factored sparse
-system rather than iterated.
+system rather than iterated.  Both kernels of a flow step are built once
+with the grid: the ghost system I - W_gh is factored under a minimum-degree
+ordering of its symmetrized pattern (its couplings are nearly symmetric,
+and this keeps the factor about a third smaller than the default column
+ordering does), and the fourth-order dd_bar stencil is assembled as a
+sparse matrix with one row per interior point, applied to the flattened
+grid.
 
 The evolving metric is conformal, lambda_t = lambda_hyp + dd_bar(phi)
 with lambda_hyp = 2 / (1 - |z|^2)^2 (normalized so the Einstein relation
@@ -43,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigInvalid, NonFiniteValue, OutOfDomain, PositivityLost
-from .flow import sample_times
+from .flow import rk4_step, sample_times
 
 ALPHA = 1.0 + math.sqrt(2.0)
 BETA_ABS = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
@@ -227,6 +233,7 @@ class OctagonGrid:
             np.abs(self.z) < 0.995, hyperbolic_density(np.where(np.abs(self.z) < 0.995, self.z, 0.0)), np.nan
         )
         self._build_ghost_system()
+        self._build_dd_bar()
 
     def _ghost_row(self, flat: int):
         """Reduction + tensor-quintic read-off stencil for one exterior point."""
@@ -310,31 +317,52 @@ class OctagonGrid:
         self._w_int = weight[:, self.interior_flat].tocsr()
         w_gh = weight[:, self.ghost_flat].tocsc()
         ident = sp.identity(n_gh, format="csc")
-        self._ghost_lu = spla.splu((ident - w_gh).tocsc())
+        self._ghost_lu = spla.splu(
+            (ident - w_gh).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            options=dict(SymmetricMode=True),
+        )
+
+    def _build_dd_bar(self):
+        """Assemble (f_xx + f_yy) / 4 as a CSR matrix, one row per interior
+        point, over the flattened grid.  Each axis uses the fourth-order
+        centered weights (-1, 16, -30, 16, -1) / (12 h^2); the margin keeps
+        every stencil inside the box."""
+        n = self.n
+        rows = self.interior_flat
+        scale = 0.25 / (12.0 * self.h * self.h)
+        offsets = [0]
+        weights = [2.0 * -30.0 * scale]
+        for shift, w in ((1, 16.0), (2, -1.0)):
+            for step in (shift, -shift, shift * n, -shift * n):
+                offsets.append(step)
+                weights.append(w * scale)
+        cols = rows[:, None] + np.array(offsets)[None, :]
+        vals = np.broadcast_to(np.array(weights), cols.shape)
+        indptr = np.arange(0, cols.size + 1, len(offsets))
+        self._dd_op = sp.csr_matrix(
+            (vals.ravel(), cols.ravel(), indptr), shape=(rows.size, n * n)
+        )
 
     def ghost_fill(self, field: np.ndarray) -> np.ndarray:
         """Return a copy of `field` with the ghost layer made consistent."""
         out = field.copy()
-        interior_vals = field.flat[self.interior_flat]
-        out.flat[self.ghost_flat] = self._ghost_lu.solve(
-            self._w_int @ interior_vals
+        flat = out.reshape(-1)
+        flat[self.ghost_flat] = self._ghost_lu.solve(
+            self._w_int @ flat[self.interior_flat]
         )
         return out
 
     def dd_bar(self, field: np.ndarray) -> np.ndarray:
-        """Fourth-order d d-bar = (f_xx + f_yy) / 4; valid at interior points."""
-        f = field
+        """Fourth-order d d-bar = (f_xx + f_yy) / 4 at interior points.
 
-        def axis2(arr, ax):
-            return (
-                -np.roll(arr, 2, axis=ax)
-                + 16.0 * np.roll(arr, 1, axis=ax)
-                - 30.0 * arr
-                + 16.0 * np.roll(arr, -1, axis=ax)
-                - np.roll(arr, -2, axis=ax)
-            ) / (12.0 * self.h * self.h)
-
-        return 0.25 * (axis2(f, 0) + axis2(f, 1))
+        One product with the stencil matrix assembled at construction; the
+        stencil reads interior and ghost values, so pass a ghost-filled
+        field.  Entries outside the interior are 0.
+        """
+        out = np.zeros((self.n, self.n))
+        out.reshape(-1)[self.interior_flat] = self._dd_op @ field.reshape(-1)
+        return out
 
     def invariant_bump(self, eps: float = 0.2) -> np.ndarray:
         """Smooth pairing-invariant field built from exp(1 - cosh d) sources
@@ -422,25 +450,36 @@ def run_base_flow(
     The stiffness here is mild (two-dimensional mesh, bounded coefficient
     1/(4 lambda_hyp) <= 1/8), so an explicit step under the Gershgorin
     bound of the difference operator is cheap and keeps the kernel simple.
+    Each right-hand side is one ghost_fill and one dd_bar, then pointwise
+    work on the interior values only; a NaN there raises NonFiniteValue
+    on the evaluation that meets it.
     """
     idx = grid.interior
-    lam = grid.lam_hyp
+    inside = grid.interior_flat
+    inv_lam = 1.0 / grid.lam_hyp.reshape(-1)[inside]
 
-    def rhs(p):
-        dd = grid.dd_bar(grid.ghost_fill(p))
-        out = np.zeros_like(p)
-        ratio = np.ones_like(p)
-        ratio[idx] = 1.0 + dd[idx] / lam[idx]
-        if np.min(ratio[idx]) <= 0.0:
+    def rel_dev(p):
+        """dd_bar(p) / lambda_hyp at the interior points."""
+        return grid.dd_bar(grid.ghost_fill(p)).reshape(-1)[inside] * inv_lam
+
+    def rhs(_t, p):
+        ratio = 1.0 + rel_dev(p)
+        low = float(np.min(ratio))
+        # a NaN fails no `<= 0` test and would otherwise run on to the
+        # next sample time
+        if math.isnan(low):
+            raise NonFiniteValue("octagon flow right-hand side lost finiteness")
+        if low <= 0.0:
             raise PositivityLost("evolving conformal density lost positivity")
-        out[idx] = np.log(ratio[idx]) - p[idx]
+        out = np.zeros_like(p)
+        out.reshape(-1)[inside] = np.log(ratio) - p.reshape(-1)[inside]
         return out
 
     phi = grid.invariant_bump() if phi0 is None else phi0.copy()
     phi[~idx & ~grid.ghosts] = 0.0
 
     gersh = (64.0 / 12.0) * 2.0 / (grid.h * grid.h)
-    lam_min = float(np.nanmin(lam[idx]))
+    lam_min = float(np.min(grid.lam_hyp[idx]))
     stiff = gersh / (4.0 * lam_min) + 1.0
     dt = min(dt_max, cfl * 2.8 / stiff)
 
@@ -449,19 +488,14 @@ def run_base_flow(
     for target in sample_times(t_end, sample_interval):
         while t < target - 1e-12:
             step = min(dt, target - t)
-            k1 = rhs(phi)
-            k2 = rhs(phi + 0.5 * step * k1)
-            k3 = rhs(phi + 0.5 * step * k2)
-            k4 = rhs(phi + step * k3)
-            phi = phi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phi = rk4_step(rhs, t, phi, step)
             t += step
             result.total_steps += 1
         if not np.all(np.isfinite(phi[idx])):
             raise NonFiniteValue(f"octagon flow lost finiteness at t={t:.4f}")
-        dd = grid.dd_bar(grid.ghost_fill(phi))
         result.ts.append(target)
         result.sup_phi.append(float(np.max(np.abs(phi[idx]))))
-        result.rel_dev.append(float(np.max(np.abs(dd[idx] / lam[idx]))))
+        result.rel_dev.append(float(np.max(np.abs(rel_dev(phi)))))
 
     result.final_phi = phi
     result.final_rel_dev = result.rel_dev[-1] if result.rel_dev else float("nan")
@@ -488,8 +522,7 @@ def run_octagon_simulation(cfg, out_dir, quiet: bool = False) -> int:
     n = cfg[("geometry", "base_grid")]
     grid = OctagonGrid(n=n)
     t_end = cfg[("flow", "t_end")]
-    interval = max(cfg[("flow", "dt_sample")], 0.25)
-    result = run_base_flow(grid, t_end=t_end, sample_interval=interval)
+    result = run_base_flow(grid, t_end=t_end, sample_interval=cfg[("flow", "dt_sample")])
 
     with open(os.path.join(out_dir, "octagon_series.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -10,6 +10,7 @@ from krflow.flow import (
     _Imex2Stepper,
     homogeneous_potential,
     product_reduced_run,
+    rk4_step,
     sample_times,
 )
 from krflow.geometry import GeometrySpec, SurrogateGeometry
@@ -61,6 +62,23 @@ class TestRightHandSide:
         phi[1, 2, 3, 4] = np.nan
         with pytest.raises(NonFiniteValue):
             _Imex2Stepper(p)(phi, 0.0, 0.01)
+
+
+class TestRk4Step:
+    def test_fourth_order_on_a_forced_linear_equation(self):
+        # y' = -y + cos t, y(0) = 1: y = (cos t + sin t) / 2 + e^{-t} / 2
+        def f(t, y):
+            return -y + np.cos(t)
+
+        exact = 0.5 * (np.cos(1.0) + np.sin(1.0)) + 0.5 * np.exp(-1.0)
+        errs = []
+        for steps in (10, 20):
+            h = 1.0 / steps
+            y = 1.0
+            for k in range(steps):
+                y = rk4_step(f, k * h, y, h)
+            errs.append(abs(y - exact))
+        assert 16.0 * 0.9 <= errs[0] / errs[1] <= 16.0 * 1.1
 
 
 class TestHomogeneous:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from krflow.errors import ConfigInvalid
+from krflow.errors import ConfigInvalid, NonFiniteValue
 from krflow.octagon import (
     ALPHA,
     BETAS,
@@ -44,6 +44,48 @@ def reference_dd_bar(func, z, h=1e-3):
         ) / (12.0 * h * h)
 
     return 0.25 * (second(h) + second(1j * h))
+
+
+def slice_dd_bar(field, h):
+    """The rolled fourth-order stencil (f_xx + f_yy) / 4, written with
+    slices; rows and columns within 2 of the box edge stay 0."""
+    f = field
+    c = f[2:-2, 2:-2]
+    fxx = (-f[:-4, 2:-2] + 16.0 * f[1:-3, 2:-2] - 30.0 * c
+           + 16.0 * f[3:-1, 2:-2] - f[4:, 2:-2]) / (12.0 * h * h)
+    fyy = (-f[2:-2, :-4] + 16.0 * f[2:-2, 1:-3] - 30.0 * c
+           + 16.0 * f[2:-2, 3:-1] - f[2:-2, 4:]) / (12.0 * h * h)
+    out = np.zeros_like(f)
+    out[2:-2, 2:-2] = 0.25 * (fxx + fyy)
+    return out
+
+
+def dense_ghost_values(grid, field):
+    """Ghost values from a dense solve of (I - W_gh) q = W_int p, with the
+    weights read row by row from the fold/read-off stencils."""
+    pos = {int(g): i for i, g in enumerate(grid.ghost_flat)}
+    interior = set(grid.interior_flat.tolist())
+    flat = field.reshape(-1)
+    mat = np.eye(len(pos))
+    rhs = np.zeros(len(pos))
+    for i, g in enumerate(grid.ghost_flat):
+        cols, vals = grid._ghost_row(int(g))
+        for col, w in zip(cols, vals):
+            if col in pos:
+                mat[i, pos[col]] -= w
+            else:
+                assert col in interior
+                rhs[i] += w * flat[col]
+    return np.linalg.solve(mat, rhs)
+
+
+def operator_fields(grid):
+    """The invariant bump and a seeded random field, zero off the interior."""
+    bump = grid.invariant_bump()
+    noise = np.random.default_rng(11).standard_normal((grid.n, grid.n))
+    for f in (bump, noise):
+        f[~grid.interior] = 0.0
+    return [bump, noise]
 
 
 def random_octagon_points(count, seed=0, r_cap=0.95):
@@ -144,6 +186,16 @@ class TestGhostLayer:
         filled = grid.ghost_fill(field)
         assert np.max(np.abs(filled.flat[grid.ghost_flat] - 3.5)) < 1e-10
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_ghost_fill_matches_dense_solve(self, n):
+        grid = OctagonGrid(n=n)
+        for field in operator_fields(grid):
+            filled = grid.ghost_fill(field)
+            ref = dense_ghost_values(grid, field)
+            gap = np.max(np.abs(filled.flat[grid.ghost_flat] - ref))
+            assert gap < 1e-12 * max(1.0, np.max(np.abs(ref)))
+            assert np.array_equal(filled[grid.interior], field[grid.interior])
+
     def test_ghosts_match_invariant_function(self):
         errs = {}
         for n in (64, 128):
@@ -177,6 +229,17 @@ class TestOperators:
         assert errs[128] < 5e-5
         # formal ratio is (h_64 / h_128)^4 ~ 24; boundary coupling costs a bit
         assert errs[64] / errs[128] > 12.0
+
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_assembled_dd_bar_matches_the_slice_stencil(self, n):
+        grid = OctagonGrid(n=n)
+        for field in operator_fields(grid):
+            filled = grid.ghost_fill(field)
+            dd = grid.dd_bar(filled)
+            ref = slice_dd_bar(filled, grid.h)[grid.interior]
+            gap = np.max(np.abs(dd[grid.interior] - ref))
+            assert gap <= 1e-12 * np.max(np.abs(ref))
+            assert not np.any(dd[~grid.interior])
 
     def test_dd_bar_is_bounded_up_to_the_boundary(self):
         grid = OctagonGrid(n=64)
@@ -220,6 +283,22 @@ class TestBaseFlow:
         # transient curvature is already nearly constant at coarse mesh
         assert result.curvature_spread < 5e-3
 
+    def test_nan_state_raises_on_the_first_right_hand_side(self):
+        grid = OctagonGrid(n=48)
+        phi0 = grid.invariant_bump()
+        phi0.flat[grid.interior_flat[grid.interior_flat.size // 2]] = np.nan
+        fills = []
+        ghost_fill = grid.ghost_fill
+
+        def counted(field):
+            fills.append(1)
+            return ghost_fill(field)
+
+        grid.ghost_fill = counted
+        with pytest.raises(NonFiniteValue):
+            run_base_flow(grid, phi0=phi0, t_end=0.5)
+        assert len(fills) <= 1
+
     def test_non_commensurate_interval_ends_at_t_end(self):
         grid = OctagonGrid(n=48)
         result = run_base_flow(grid, t_end=1.0, sample_interval=0.6)
@@ -246,3 +325,22 @@ class TestBaseFlow:
         assert len(series) == 3  # two samples after the header
         summary = (out / "octagon_summary.txt").read_text()
         assert "curvature_mean" in summary
+
+    def test_cli_entry_honours_dt_sample(self, tmp_path):
+        from krflow.cli import parse_config
+        from krflow.octagon import run_octagon_simulation
+
+        cfg = parse_config(
+            "[geometry]\n"
+            "base_backend = bolza_octagon\n"
+            "base_grid = 64\n"
+            "[flow]\n"
+            "t_end = 1.0\n"
+            "dt_sample = 0.1\n"
+        )
+        out = tmp_path / "oct"
+        assert run_octagon_simulation(cfg, str(out), quiet=True) == 0
+        rows = (out / "octagon_series.csv").read_text().strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
+            [0.1 * k for k in range(1, 11)]
+        )
