@@ -81,13 +81,6 @@ class HermitianField:
     def copy(self) -> "HermitianField":
         return HermitianField(self.bb.copy(), self.bf.copy(), self.ff.copy())
 
-    def broadcast(self, shape) -> "HermitianField":
-        return HermitianField(
-            np.broadcast_to(self.bb, shape),
-            np.broadcast_to(self.bf, shape),
-            np.broadcast_to(self.ff, shape),
-        )
-
 
 def wedge_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """Top-degree coefficient of the wedge a ^ b, as a real field.
@@ -274,8 +267,11 @@ class SpectralGrid:
         This is the coefficient matrix of the (1,1)-form i*ddbar(phi) in the
         stored-block convention; its grid mean vanishes identically.
         """
+        return self.spectral_hessian(self.rfft(phi))
+
+    def spectral_hessian(self, spec: np.ndarray) -> HermitianField:
+        """hessian() of the real field whose rfft is `spec`."""
         s_bb, s_ff, s_bf_re, s_bf_im = self._half_hessian_syms
-        spec = self.rfft(phi)
         bb = self.irfft(s_bb * spec)
         ff = self.irfft(s_ff * spec)
         bf = self.irfft(s_bf_re * spec) + 1j * self.irfft(s_bf_im * spec)

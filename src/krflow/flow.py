@@ -24,11 +24,24 @@ Two steppers are provided.
   explicitly to second order.  The remainder is a *relative* perturbation
   of the proxy of size (max - min)/(max + min) < 1 uniformly in t, so the
   step stays stable at fixed dt even though the fiber diffusivity itself
-  grows like e^t.  One rhs evaluation per step.  An integrating-factor RK4
-  variant was tried and rejected: with any diagonal factor the transformed
-  remainder acquires exponentially large cross-mode entries once
-  dt * mu * k^2 >> 1, and runs with fiber-coupled data went unstable near
-  t ~ 3 + ln(dt_ref/dt) in practice.
+  grows like e^t.  An integrating-factor RK4 variant was tried and
+  rejected: with any diagonal factor the transformed remainder acquires
+  exponentially large cross-mode entries once dt * mu * k^2 >> 1, and runs
+  with fiber-coupled data went unstable near t ~ 3 + ln(dt_ref/dt) in
+  practice.
+
+  The stepper carries the spectral state rfft(phi), and two identities
+  keep a step at five transforms (one rfft, four irfft):
+  - the -phi of F cancels the -1 of M, so the remainder is F' - M' phi
+    with F' = t + log det g - log Omega and M' = M + 1; phi itself is
+    transformed back only at sample, snapshot and end times;
+  - g_hat(t) + Hess(phi) = (a_t chi, 0, e^{-t} fiber_scale) + Hess(w) with
+    w = phi + e^{-t} psi_0 and a_t = 1 + (base_scale - 1) e^{-t}, since
+    omega_0 = base_scale chi + fiber_scale omega_E + Hess(psi_0); so the
+    metric blocks are four irfft of rfft(phi) + e^{-t} rfft(psi_0), and no
+    reference form is built.
+  Each interval between events is split into equal steps of at most
+  dt_max, and the step ratio keeps BDF2's zero-stability bound 1 + sqrt(2).
 
 Both steppers halve dt and retry when positivity of the evolving form is
 lost at any stage, up to max_halvings times.
@@ -131,71 +144,129 @@ class FlowOptions:
             raise ConfigInvalid("t_end, dt_max and sample_interval must be positive")
 
 
-class _Imex2Stepper:
-    """Per-run state for the semi-implicit BDF2 scheme.
+# Zero-stability bound of variable-step BDF2 on the step ratio dt / dt_prev
+# (Grigorieff, Numer. Math. 42, 1983).
+_R_MAX = 1.0 + math.sqrt(2.0)
 
-    Holds the rhs/metric at the accepted point plus one level of history.
-    A call computes the candidate state AND evaluates its rhs (needed for
-    the next step anyway); positivity loss at the candidate raises before
-    any history is rotated, so the caller can halve dt and retry cleanly.
-    Variable step ratios r = dt/dt_prev are handled by the two-step BDF
-    coefficients (zero-stable for r <= 1 + sqrt(2); halving recovery tops
-    out at r = 2).
+
+def _bdf2_weights(r: float):
+    """(a0, a2) of variable-step BDF2 at step ratio r = dt / dt_prev.
+
+    The new state solves a0 u_new - (1 + r) u + a2 u_prev = dt * (extrapolated
+    remainder); r = 0 is the one-step start-up (semi-implicit Euler).
+    """
+    assert 0.0 <= r <= _R_MAX, f"BDF2 step ratio {r!r} outside [0, 1 + sqrt(2)]"
+    return (1.0 + 2.0 * r) / (1.0 + r), r * r / (1.0 + r)
+
+
+class _Imex2Stepper:
+    """Semi-implicit BDF2 on the spectral state u = rfft(phi).
+
+    At the accepted point it holds u, f = rfft(F') with F' the reduced
+    forcing t + log det g - log Omega, and the proxy midranges, plus one
+    history level (u, f, dt).  With M' = mu_b dd_b + mu_f dd_f the remainder
+    F - M phi equals F' - M' phi (the -phi of F cancels the -1 of M), so a
+    step needs phi in no space but the spectral one:
+
+        a0 u_new - (1 + r) u + a2 u_prev
+            = dt ((1 + r)(f - M' u) - r (f_prev - M' u_prev)) + dt (M' - 1) u_new,
+
+    solved mode by mode with real weights.  Evaluating the candidate costs
+    four irfft (its metric blocks, see FlowProblem._forcing) and one rfft
+    (of its F'); phi is transformed back only at events.  Positivity loss
+    or a non-finite value raises before any history is rotated, so the
+    caller can halve dt and retry cleanly.
+
+    Step ratios r = dt / dt_prev obey the zero-stability bound r <= 1 +
+    sqrt(2): a longer step (after a halving) restarts from the one-step
+    start-up instead.
     """
 
-    def __init__(self, problem: "FlowProblem"):
+    def __init__(self, problem: "FlowProblem", dt_max: float):
         self.problem = problem
-        self.f_now = None        # rhs array at the accepted (phi, t)
-        self.g_now = None        # metric blocks there
-        self.spec_now = None     # rfft of the accepted phi
-        self.spec_prev = None    # one history level for the BDF2 formula
-        self.f_prev_spec = None
-        self.h_prev = None
+        self.dt_max = dt_max
+        s_bb, s_ff, _, _ = problem.grid._half_hessian_syms
+        self.u = np.zeros(np.broadcast_shapes(s_bb.shape, s_ff.shape), dtype=complex)
+        self.f = None         # rfft(F') at the accepted point, once evaluated
+        self.mu = None        # proxy midranges there
+        self.forcing = None   # F' there, until the next step starts
+        self.blocks = None    # (bb, Re bf, Im bf, ff) there, likewise
+        self.u_prev = self.f_prev = self.h_prev = None
 
-    @staticmethod
-    def _midrange_mu(g: HermitianField):
-        det = g.det()
-        coef_b = g.ff / det
-        coef_f = g.bb / det
-        mu_b = 0.5 * (float(np.max(coef_b)) + float(np.min(coef_b)))
-        mu_f = 0.5 * (float(np.max(coef_f)) + float(np.min(coef_f)))
-        return mu_b, mu_f
+    def max_dt(self, t):
+        return self.dt_max
 
-    def __call__(self, phi, t, dt):
-        prob = self.problem
-        grid = prob.grid
-        s_bb, s_ff, _, _ = grid._half_hessian_syms
-        if self.spec_now is None:
-            self.spec_now = grid.rfft(phi)
-        if self.f_now is None:
-            self.f_now, self.g_now = prob._rhs_from_spec(phi, self.spec_now, t)
+    def _evaluate(self, u, t):
+        """(rfft(F'), midranges, F', blocks) of the state u at time t."""
+        forcing, (bb, re, im, ff, det) = self.problem._forcing(u, t)
+        f = self.problem.grid.rfft(forcing)
+        # The zero mode is the sum of all entries of F': a +inf block entry
+        # keeps every minimum finite but shows up here, on this step.
+        if not np.isfinite(f.flat[0]):
+            raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
+        coef = ff / det
+        mu_b = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
+        np.divide(bb, det, out=coef)
+        mu_f = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
+        return f, (mu_b, mu_f), forcing, (bb, re, im, ff)
 
-        mu_b, mu_f = self._midrange_mu(self.g_now)
-        lam = mu_b * s_bb + mu_f * s_ff - 1.0
-        u = self.spec_now
-        f_now_spec = grid.rfft(self.f_now)
+    def __call__(self, t, dt):
+        if self.f is None:
+            self.f, self.mu, self.forcing, self.blocks = self._evaluate(self.u, t)
+        self.forcing = self.blocks = None  # only a sample right after a step reads them
 
-        if self.spec_prev is None:
-            # semi-implicit Euler start-up step
-            new_spec = (u + dt * (f_now_spec - lam * u)) / (1.0 - dt * lam)
-        else:
+        r = 0.0
+        if self.u_prev is not None:
             r = dt / self.h_prev
-            a0 = (1.0 + 2.0 * r) / (1.0 + r)
-            a1 = -(1.0 + r)
-            a2 = r * r / (1.0 + r)
-            rem_now = f_now_spec - lam * u
-            rem_prev = self.f_prev_spec - lam * self.spec_prev
-            new_spec = (
-                -a1 * u - a2 * self.spec_prev
-                + dt * ((1.0 + r) * rem_now - r * rem_prev)
-            ) / (a0 - dt * lam)
+            if r > _R_MAX:
+                r = 0.0  # restart from the one-step start-up
+        a0, a2 = _bdf2_weights(r)
+        s_bb, s_ff, _, _ = self.problem.grid._half_hessian_syms
+        mu_b, mu_f = self.mu
+        lam = mu_b * s_bb + mu_f * s_ff  # the symbol of M'
+        inv = 1.0 / ((a0 + dt) - dt * lam)
+        new = ((1.0 + r) * (1.0 - dt * lam) * inv) * self.u
+        new += (dt * (1.0 + r) * inv) * self.f
+        if r:
+            new += ((dt * r * lam - a2) * inv) * self.u_prev
+            new -= (dt * r * inv) * self.f_prev
 
-        phi_new = grid.irfft(new_spec)
-        f_new, g_new = prob._rhs_from_spec(phi_new, new_spec, t + dt)
+        f, mu, forcing, blocks = self._evaluate(new, t + dt)
+        self.u_prev, self.f_prev, self.h_prev = self.u, self.f, dt
+        self.u, self.f, self.mu, self.forcing, self.blocks = new, f, mu, forcing, blocks
 
-        self.spec_prev, self.f_prev_spec, self.h_prev = u, f_now_spec, dt
-        self.f_now, self.g_now, self.spec_now = f_new, g_new, new_spec
-        return phi_new
+    def phi(self) -> np.ndarray:
+        return self.problem.grid.irfft(self.u)
+
+    def sample_rhs(self, phi, t):
+        """The rhs and metric blocks at the accepted point, with no transform."""
+        bb, re, im, ff = self.blocks
+        return self.forcing - phi, HermitianField(bb, re + 1j * im, ff)
+
+
+class _Rk4Stepper:
+    """Classical RK4 on the physical state under the parabolic step bound."""
+
+    def __init__(self, problem: "FlowProblem", opts: "FlowOptions"):
+        self.problem = problem
+        self.opts = opts
+        self.state = np.zeros(problem.grid.shape)
+
+    def max_dt(self, t):
+        _, g = self.problem.rhs(self.state, t)
+        det = g.det()
+        lam = float(np.max(np.maximum(g.ff, g.bb) / det + np.abs(g.bf) / det))
+        h = 1.0 / max(self.problem.grid.n_base, self.problem.grid.n_fiber)
+        return min(self.opts.dt_max, self.opts.cfl_safety * h * h / lam)
+
+    def __call__(self, t, dt):
+        self.state = rk4_step(lambda tt, p: self.problem.rhs(p, tt)[0], t, self.state, dt)
+
+    def phi(self) -> np.ndarray:
+        return self.state
+
+    def sample_rhs(self, phi, t):
+        return self.problem.rhs(phi, t)
 
 
 @dataclass
@@ -234,51 +305,64 @@ class FlowProblem:
     # -- right-hand side ---------------------------------------------------
 
     def metric(self, phi: np.ndarray, t: float) -> HermitianField:
-        return self.geometry.hat(t) + self.grid.hessian(phi)
+        """The evolving form hat(t) + H(phi); raises off the positive cone as rhs does."""
+        return self.rhs(phi, t)[1]
 
-    def _hessian_from_spec(self, spec) -> HermitianField:
-        g = self.grid
-        s_bb, s_ff, s_re, s_im = g._half_hessian_syms
-        bb = g.irfft(s_bb * spec)
-        ff = g.irfft(s_ff * spec)
-        bf = g.irfft(s_re * spec) + 1j * g.irfft(s_im * spec)
-        return HermitianField(bb, bf, ff)
+    def rhs(self, phi: np.ndarray, t: float):
+        """Full right-hand side and the evolving metric blocks at (phi, t).
 
-    def _rhs_from_spec(self, w, w_spec, t):
-        g = self.geometry.hat(t) + self._hessian_from_spec(w_spec)
-        det = g.det()
-        mins = (float(np.min(g.bb)), float(np.min(g.ff)), float(np.min(det)))
-        # A NaN anywhere propagates into its block's minimum, and it fails
-        # no `<= 0` test; halving dt cannot repair it, so it is not
-        # PositivityLost.
-        if any(math.isnan(m) for m in mins):
+        The same formula the imex2 stepper steps with (see _forcing).
+        """
+        rhs, (bb, re, im, ff, _) = self._forcing(self.grid.rfft(phi), t)
+        rhs -= phi
+        if not np.all(np.isfinite(rhs)):
+            raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
+        return rhs, HermitianField(bb, re + 1j * im, ff)
+
+    def _forcing(self, u, t):
+        """F' = t + log det g - log Omega and (bb, Re bf, Im bf, ff, det) of g.
+
+        g = hat(t) + H(phi) with u = rfft(phi).  hat(t) + H(phi) = (a_t chi, 0,
+        e^{-t} fiber_scale) + H(phi + e^{-t} psi_0) with a_t = 1 + (base_scale
+        - 1) e^{-t}, because omega_0 = base_scale chi + fiber_scale omega_E +
+        H(psi_0) and H is linear; so the blocks are four irfft of u + e^{-t}
+        rfft(psi_0) and no reference form is built.
+
+        Raises unless the minima of bb, ff and det are finite and positive.
+        A NaN or -inf entry reaches its block's minimum and fails no `<= 0`
+        test as a NaN, or reads as lost positivity as -inf; halving dt cannot
+        repair either, so both are NonFiniteValue, not PositivityLost.
+        """
+        grid = self.grid
+        geom = self.geometry
+        s_bb, s_ff, s_re, s_im = grid._half_hessian_syms
+        e = math.exp(-t)
+        w = geom.psi0_spec * e
+        w += u
+        bb = grid.irfft(s_bb * w)
+        bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
+        ff = grid.irfft(s_ff * w)
+        ff += e * geom.spec.fiber_scale * geom.g_fiber
+        re = grid.irfft(s_re * w)
+        im = grid.irfft(s_im * w)
+        del w
+        det = bb * ff
+        det -= re * re
+        det -= im * im
+        mins = (float(np.min(bb)), float(np.min(ff)), float(np.min(det)))
+        if any(math.isnan(m) or m == -math.inf for m in mins):
             raise NonFiniteValue(f"evolving form lost finiteness at t={t:.6f}")
         if min(mins) <= 0.0:
             raise PositivityLost(
                 f"evolving form left the positive cone at t={t:.6f}: "
                 "min bb {:.3e}, min ff {:.3e}, min det {:.3e}".format(*mins)
             )
-        rhs = t + np.log(det) - self.log_omega - w
-        return rhs, g
-
-    def rhs(self, phi: np.ndarray, t: float):
-        """Full right-hand side and the evolving metric blocks at (phi, t)."""
-        rhs, g = self._rhs_from_spec(phi, self.grid.rfft(phi), t)
-        if not np.all(np.isfinite(rhs)):
-            raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
-        return rhs, g
+        forcing = np.log(det)
+        forcing += t
+        forcing -= self.log_omega
+        return forcing, (bb, re, im, ff, det)
 
     # -- stepping ----------------------------------------------------------
-
-    def _step_rk4(self, phi, t, dt):
-        return rk4_step(lambda tt, p: self.rhs(p, tt)[0], t, phi, dt)
-
-    def _rk4_dt(self, phi, t, opts: FlowOptions) -> float:
-        _, g = self.rhs(phi, t)
-        det = g.det()
-        lam = float(np.max(np.maximum(g.ff, g.bb) / det + np.abs(g.bf) / det))
-        h = 1.0 / max(self.grid.n_base, self.grid.n_fiber)
-        return min(opts.dt_max, opts.cfl_safety * h * h / lam)
 
     def run(
         self,
@@ -289,14 +373,14 @@ class FlowProblem:
         """Integrate from phi = 0 at t = 0 to t_end.
 
         Samples land on the multiples of sample_interval up to t_end, plus
-        t_end itself (see sample_times), and on any snapshot times; dt is
-        clipped to hit them, and the run never passes t_end.  `sampler`,
+        t_end itself (see sample_times), and on any snapshot times; each
+        interval between these events is split into equal steps of at most
+        the stepper's bound, and the run never passes t_end.  `sampler`,
         if given, is called as sampler(problem, t, phi, rhs, g) at each
         sample time and its return value collected into result.records.
         """
         opts = opts if isinstance(opts, FlowOptions) else FlowOptions(**opts)
-        grid = self.grid
-        phi = np.zeros(grid.shape)
+        phi = np.zeros(self.grid.shape)
         t = 0.0
         steps = 0
 
@@ -308,9 +392,12 @@ class FlowProblem:
 
         states, records, snapshots = [], [], {}
 
-        def take_sample(tt, cur_phi):
+        def take_sample(tt):
+            cur_phi = stepper.phi()
             if round(tt, 12) in sample_set:
-                rhs, g = self.rhs(cur_phi, tt)
+                rhs, g = stepper.sample_rhs(cur_phi, tt)
+                if not np.all(np.isfinite(rhs)):
+                    raise NonFiniteValue(f"right-hand side lost finiteness at t={tt:.6f}")
                 lo, hi = relative_eigen_bounds(g, self.geometry.tilde(tt))
                 eig_min, eig_max = float(np.min(lo)), float(np.max(hi))
                 if eig_min < opts.positivity_floor:
@@ -324,33 +411,34 @@ class FlowProblem:
                 if sampler is not None:
                     records.append(sampler(self, tt, cur_phi, rhs, g))
             if round(tt, 12) in snapshot_set:
-                snapshots[tt] = cur_phi.copy()
+                snapshots[tt] = cur_phi
+            return cur_phi
 
         if 0.0 in snapshot_set:
             snapshots[0.0] = phi.copy()
 
-        stepper = _Imex2Stepper(self) if opts.scheme == "imex2" else self._step_rk4
+        stepper = (_Imex2Stepper(self, opts.dt_max) if opts.scheme == "imex2"
+                   else _Rk4Stepper(self, opts))
 
         for target in event_list:
             while t < target - 1e-12:
-                base_dt = (
-                    opts.dt_max if opts.scheme == "imex2" else self._rk4_dt(phi, t, opts)
-                )
-                dt = min(base_dt, target - t)
+                # equal steps of at most the stepper's bound over the rest of
+                # the interval, so an event never forces a short step
+                n = max(1, math.ceil((target - t) / stepper.max_dt(t) - 1e-9))
+                dt = (target - t) / n
                 for halving in range(opts.max_halvings + 1):
                     try:
-                        phi_new = stepper(phi, t, dt)
+                        stepper(t, dt)
                         break
                     except PositivityLost:
                         if halving == opts.max_halvings:
                             raise
                         dt *= 0.5
-                phi = phi_new
                 t = t + dt
                 steps += 1
                 if abs(t - target) < 1e-10:
                     t = target
-            take_sample(target, phi)
+            phi = take_sample(target)
 
         return FlowResult(
             states=states,

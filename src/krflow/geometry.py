@@ -147,17 +147,15 @@ class SurrogateGeometry:
         if psi0 is None:
             psi0 = spec.psi0_amplitude * PSI0_PRESETS[spec.psi0_preset](x, y, u, v)
         self.psi0 = np.ascontiguousarray(np.broadcast_to(psi0, grid.shape))
-        self.h_psi0 = grid.hessian(self.psi0)
+        self.psi0_spec = grid.rfft(self.psi0)  # the flow folds psi_0 in spectrally
 
         zero = np.zeros((1, 1, 1, 1))
         self.chi_form = HermitianField(self.chi, zero + 0.0j, zero)
         self.fiber_form = HermitianField(zero, zero + 0.0j, zero + self.g_fiber)
 
-        self.omega0 = HermitianField(
-            spec.base_scale * self.chi + self.h_psi0.bb,
-            self.h_psi0.bf,
-            spec.fiber_scale * self.g_fiber + self.h_psi0.ff,
-        )
+        self.omega0 = grid.spectral_hessian(self.psi0_spec)
+        self.omega0.bb += spec.base_scale * self.chi
+        self.omega0.ff += spec.fiber_scale * self.g_fiber
         self._validate_omega0()
 
         self.flat_fiber = self._solve_flat_fiber()

@@ -413,7 +413,11 @@ def gauss_curvature(grid: OctagonGrid, phi: np.ndarray) -> np.ndarray:
     u = np.ones_like(phi)
     idx = grid.interior
     u[idx] = 1.0 + dd_phi[idx] / grid.lam_hyp[idx]
-    if np.min(u[idx]) <= 0.0:
+    low = float(np.min(u[idx]))
+    # a NaN fails no `<= 0` test and would spread through the second dd_bar
+    if math.isnan(low):
+        raise NonFiniteValue("conformal factor lost finiteness")
+    if low <= 0.0:
         raise PositivityLost("conformal factor left the positive cone")
     log_u = np.zeros_like(phi)
     log_u[idx] = np.log(u[idx])

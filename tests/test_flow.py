@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from krflow.discretization import SpectralGrid
+from krflow import flow
+from krflow.discretization import HermitianField, SpectralGrid
 from krflow.errors import ConfigInvalid, NonFiniteValue, PositivityLost
 from krflow.flow import (
     FlowOptions,
@@ -49,6 +52,23 @@ class TestRightHandSide:
         rhs, _ = p.rhs(np.zeros(grid.shape), 0.0)
         assert np.max(np.abs(rhs - np.log(3.0))) < 1e-12
 
+    def test_folded_reference_form_matches_hat_plus_hessian(self):
+        # rhs and metric fold psi_0 into the transformed potential; the
+        # reference family hat(t) plus the Hessian of phi is the same form.
+        p = problem(psi0_preset="mixed", psi0_amplitude=0.03, base_scale=1.2,
+                    fiber_scale=1.5)
+        x, _, u, _ = p.grid.coords
+        phi = 0.002 * np.cos(TP * x) * np.sin(TP * u) * np.ones(p.grid.shape)
+        for t in (0.0, 0.4, 1.1):
+            ref_g = p.geometry.hat(t) + p.grid.hessian(phi)
+            ref_rhs = t + np.log(ref_g.det()) - p.log_omega - phi
+            rhs, g = p.rhs(phi, t)
+            assert np.max(np.abs(rhs - ref_rhs)) < 1e-13
+            for field in (g, p.metric(phi, t)):
+                for block in ("bb", "bf", "ff"):
+                    gap = np.abs(getattr(field, block) - getattr(ref_g, block))
+                    assert np.max(gap) < 1e-13
+
     def test_positivity_guard_raises(self):
         p = problem()
         x = p.grid.coords[0]
@@ -60,8 +80,10 @@ class TestRightHandSide:
         p = problem()
         phi = np.zeros(p.grid.shape)
         phi[1, 2, 3, 4] = np.nan
+        stepper = _Imex2Stepper(p, 0.01)
+        stepper.u = p.grid.rfft(phi)
         with pytest.raises(NonFiniteValue):
-            _Imex2Stepper(p)(phi, 0.0, 0.01)
+            stepper(0.0, 0.01)
 
 
 class TestRk4Step:
@@ -144,11 +166,11 @@ class TestRunMechanics:
         p = problem()
         calls = {"n": 0}
 
-        def always_lost(w, spec, t):
+        def always_lost(u, t):
             calls["n"] += 1
             raise PositivityLost("forced")
 
-        monkeypatch.setattr(p, "_rhs_from_spec", always_lost)
+        monkeypatch.setattr(p, "_forcing", always_lost)
         with pytest.raises(PositivityLost):
             p.run(FlowOptions(t_end=0.1, dt_max=0.05, max_halvings=3, sample_interval=0.1))
         assert calls["n"] == 4  # initial try plus three halvings
@@ -158,16 +180,46 @@ class TestRunMechanics:
         # at once instead of halving dt max_halvings times.
         p = problem()
         calls = {"n": 0}
-        original = p._rhs_from_spec
+        original = p._forcing
 
-        def poisoned(w, spec, t):
+        def poisoned(u, t):
             calls["n"] += 1
-            return original(w, spec if calls["n"] == 1 else spec * np.nan, t)
+            return original(u if calls["n"] == 1 else u * np.nan, t)
 
-        monkeypatch.setattr(p, "_rhs_from_spec", poisoned)
+        monkeypatch.setattr(p, "_forcing", poisoned)
         with pytest.raises(NonFiniteValue):
             p.run(FlowOptions(t_end=0.1, dt_max=0.05, max_halvings=40, sample_interval=0.1))
         assert calls["n"] == 2
+
+    @pytest.mark.parametrize("call, value", [(5, -np.inf), (6, np.inf), (7, np.inf)])
+    def test_infinite_block_entry_is_not_retried_by_halving(self, monkeypatch, call, value):
+        # irfft calls 1-4 are the start-up blocks, 5-8 the first candidate's
+        # bb, ff, Re bf, Im bf.  -inf in bb reaches its minimum; +inf in ff
+        # keeps every minimum finite and shows in the transformed rhs; +inf
+        # in Re bf drives det to -inf.  Each stops the run on that step.
+        p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
+        irfft_calls = {"n": 0}
+        irfft = p.grid.irfft
+
+        def poisoned_irfft(spec):
+            irfft_calls["n"] += 1
+            out = irfft(spec)
+            if irfft_calls["n"] == call:
+                out[1, 2, 3, 4] = value
+            return out
+
+        forcing_calls = {"n": 0}
+        forcing = p._forcing
+
+        def counted(u, t):
+            forcing_calls["n"] += 1
+            return forcing(u, t)
+
+        monkeypatch.setattr(p.grid, "irfft", poisoned_irfft)
+        monkeypatch.setattr(p, "_forcing", counted)
+        with pytest.raises(NonFiniteValue):
+            p.run(FlowOptions(t_end=0.1, dt_max=0.05, max_halvings=40, sample_interval=0.1))
+        assert forcing_calls["n"] == 2
 
     def test_samples_never_pass_t_end(self):
         res = problem().run(FlowOptions(t_end=1.0, dt_max=0.0125, sample_interval=0.6))
@@ -184,6 +236,200 @@ class TestRunMechanics:
             assert sample_times(t_end, interval) == expected
         assert sample_times(1.0, 0.6) == [0.6, 1.0]
         assert sample_times(0.3, 0.7) == [0.3]
+
+    def test_commensurate_intervals_keep_their_step_counts(self):
+        # the separable32 workload's 20 steps; generic16's 32 a sample
+        p = problem()
+        run = p.run(FlowOptions(t_end=0.125, dt_max=0.00625, sample_interval=0.125))
+        assert run.total_steps == 20
+        run = p.run(FlowOptions(t_end=0.4, dt_max=0.00625, sample_interval=0.2))
+        assert [s.steps for s in run.states] == [32, 64]
+
+
+def _recorded_ratios(monkeypatch):
+    """Collect the step ratio of every BDF2 update the stepper forms."""
+    ratios = []
+    weights = flow._bdf2_weights
+
+    def recording(r):
+        ratios.append(r)
+        return weights(r)
+
+    monkeypatch.setattr(flow, "_bdf2_weights", recording)
+    return ratios
+
+
+class TestStepRatio:
+    R_MAX = 1.0 + math.sqrt(2.0)
+
+    def test_non_commensurate_sample_interval(self, monkeypatch):
+        # Clipping dt_max = 0.01 steps to samples 0.0125 apart gave r = 4;
+        # equal steps of 0.00625 keep r = 1 up to rounding.
+        ratios = _recorded_ratios(monkeypatch)
+        p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
+        res = p.run(FlowOptions(t_end=0.1, dt_max=0.01, sample_interval=0.0125))
+        assert res.total_steps == 16
+        assert ratios[0] == 0.0  # the one-step start-up
+        assert max(ratios) == pytest.approx(1.0, abs=1e-9)
+
+    def test_long_step_after_short_ones_restarts(self, monkeypatch):
+        # A snapshot 0.001 past a sample, then a step of 0.0099: r = 9.9
+        # restarts; so does the full step after a twice-halved one (r ~ 4).
+        ratios = _recorded_ratios(monkeypatch)
+        p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
+        calls = {"n": 0}
+        forcing = p._forcing
+
+        def twice_lost(u, t):
+            calls["n"] += 1
+            if calls["n"] in (4, 5):
+                raise PositivityLost("forced")
+            return forcing(u, t)
+
+        monkeypatch.setattr(p, "_forcing", twice_lost)
+        p.run(FlowOptions(t_end=0.2, dt_max=0.01, sample_interval=0.1),
+              snapshot_times=(0.101,))
+        assert max(ratios) <= self.R_MAX
+        restarts = [k for k, r in enumerate(ratios) if r == 0.0]
+        # the start-up; the step after the third, which took three attempts
+        # (dt, dt/2, dt/4; ratios 2-4); and the step after the snapshot's
+        assert restarts[:2] == [0, 5]
+        assert ratios[2:5] == pytest.approx([1.0, 0.5, 0.25])
+        assert len(restarts) == 3
+
+
+class SixTransformImex2:
+    """The imex2 stepper on a physical state, six transforms a step.
+
+    A transcription of the stepper before it carried rfft(phi): phi is
+    transformed back every step, the rhs keeps its -phi and is rfft'd at the
+    start of the next step, and the metric is hat(t) plus the Hessian.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.f_now = self.g_now = self.spec_now = None
+        self.spec_prev = self.f_prev_spec = self.h_prev = None
+
+    def rhs_from_spec(self, w, w_spec, t):
+        grid = self.p.grid
+        s_bb, s_ff, s_re, s_im = grid._half_hessian_syms
+        hess = HermitianField(grid.irfft(s_bb * w_spec),
+                              grid.irfft(s_re * w_spec) + 1j * grid.irfft(s_im * w_spec),
+                              grid.irfft(s_ff * w_spec))
+        g = self.p.geometry.hat(t) + hess
+        return t + np.log(g.det()) - self.p.log_omega - w, g
+
+    def __call__(self, phi, t, dt):
+        grid = self.p.grid
+        s_bb, s_ff, _, _ = grid._half_hessian_syms
+        if self.spec_now is None:
+            self.spec_now = grid.rfft(phi)
+        if self.f_now is None:
+            self.f_now, self.g_now = self.rhs_from_spec(phi, self.spec_now, t)
+        det = self.g_now.det()
+        coef_b, coef_f = self.g_now.ff / det, self.g_now.bb / det
+        mu_b = 0.5 * (float(np.max(coef_b)) + float(np.min(coef_b)))
+        mu_f = 0.5 * (float(np.max(coef_f)) + float(np.min(coef_f)))
+        lam = mu_b * s_bb + mu_f * s_ff - 1.0
+        u = self.spec_now
+        f_now_spec = grid.rfft(self.f_now)
+        if self.spec_prev is None:
+            new_spec = (u + dt * (f_now_spec - lam * u)) / (1.0 - dt * lam)
+        else:
+            r = dt / self.h_prev
+            a0, a1, a2 = (1.0 + 2.0 * r) / (1.0 + r), -(1.0 + r), r * r / (1.0 + r)
+            rem_now = f_now_spec - lam * u
+            rem_prev = self.f_prev_spec - lam * self.spec_prev
+            new_spec = (-a1 * u - a2 * self.spec_prev
+                        + dt * ((1.0 + r) * rem_now - r * rem_prev)) / (a0 - dt * lam)
+        phi_new = grid.irfft(new_spec)
+        f_new, g_new = self.rhs_from_spec(phi_new, new_spec, t + dt)
+        self.spec_prev, self.f_prev_spec, self.h_prev = u, f_now_spec, dt
+        self.f_now, self.g_now, self.spec_now = f_new, g_new, new_spec
+        return phi_new
+
+
+def spectral_problem(n):
+    # psi_0, base_scale and fiber_scale all enter the folded reference form
+    return problem(n, psi0_preset="mixed", psi0_amplitude=0.03, base_scale=1.2,
+                   fiber_scale=1.5)
+
+
+class TestSpectralStepper:
+    def test_five_transforms_a_step_and_phi_only_at_events(self, monkeypatch):
+        p = spectral_problem(8)
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            def counted(arr, _name=name, _fn=getattr(p.grid, name)):
+                counts[_name] += 1
+                return _fn(arr)
+            monkeypatch.setattr(p.grid, name, counted)
+        per_call = []
+        call = _Imex2Stepper.__call__
+
+        def recorded(self, t, dt):
+            before = dict(counts)
+            call(self, t, dt)
+            per_call.append((counts["rfft"] - before["rfft"],
+                             counts["irfft"] - before["irfft"]))
+
+        monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
+        res = p.run(FlowOptions(t_end=0.3, dt_max=0.01, sample_interval=0.1),
+                    sampler=lambda *args: None, snapshot_times=(0.15,))
+        assert res.total_steps == len(per_call) == 30
+        # the first call also evaluates the start-up state
+        assert per_call[0] == (2, 8)
+        assert set(per_call[1:]) == {(1, 4)}
+        events = 4  # samples 0.1, 0.2, 0.3 and the snapshot 0.15
+        assert counts == {"rfft": 31, "irfft": 4 * 31 + events}
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_the_six_transform_stepper(self, monkeypatch, n):
+        p = spectral_problem(n)
+        calls = {"n": 0}
+        forcing = p._forcing
+
+        def lost_once(u, t):
+            calls["n"] += 1
+            if calls["n"] == 10:
+                raise PositivityLost("forced")
+            return forcing(u, t)
+
+        monkeypatch.setattr(p, "_forcing", lost_once)
+        accepted = []
+        call = _Imex2Stepper.__call__
+
+        def recorded(self, t, dt):
+            call(self, t, dt)
+            accepted.append((t, dt))
+
+        monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
+        res = p.run(FlowOptions(t_end=0.3, dt_max=0.00625, sample_interval=0.1))
+        dts = [dt for _, dt in accepted]
+        assert len(accepted) >= 40
+        assert min(dts) == pytest.approx(0.00625 / 2)  # the forced halving
+        ratios = [b / a for a, b in zip(dts, dts[1:])]
+        assert max(ratios) > 1.5  # a variable-ratio BDF2 step follows it
+
+        old = SixTransformImex2(p)
+        phi = np.zeros(p.grid.shape)
+        for t, dt in accepted:
+            phi = old(phi, t, dt)
+        assert np.max(np.abs(res.final_phi - phi)) < 1e-13
+
+    def test_sampler_gets_the_problem_rhs_and_metric(self):
+        p = spectral_problem(8)
+        seen = []
+        p.run(FlowOptions(t_end=0.2, dt_max=0.01, sample_interval=0.05),
+              sampler=lambda prob, t, phi, rhs, g: seen.append((t, phi, rhs, g)))
+        assert len(seen) == 4
+        for t, phi, rhs, g in seen:
+            ref_rhs, ref_g = p.rhs(phi, t)
+            assert np.max(np.abs(rhs - ref_rhs)) < 1e-13
+            for block in ("bb", "bf", "ff"):
+                gap = np.abs(getattr(g, block) - getattr(ref_g, block))
+                assert np.max(gap) < 1e-13
 
 
 class TestSchemeAgreement:

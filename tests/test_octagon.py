@@ -265,6 +265,13 @@ class TestOperators:
         vals = k_field[grid.interior]
         assert np.max(np.abs(vals + 2.0)) < 1e-12
 
+    def test_curvature_of_a_nan_state_raises(self):
+        grid = OctagonGrid(n=48)
+        phi = grid.invariant_bump()
+        phi.flat[grid.interior_flat[grid.interior_flat.size // 2]] = np.nan
+        with pytest.raises(NonFiniteValue):
+            gauss_curvature(grid, phi)
+
 
 class TestBaseFlow:
     def test_zero_potential_is_an_exact_fixed_point(self):
