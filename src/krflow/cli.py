@@ -26,7 +26,7 @@ from .discretization import SpectralGrid
 from .errors import ConfigInvalid, InsufficientSamples, KrflowError
 from .flow import FlowOptions, FlowProblem
 from .geometry import PSI0_PRESETS, GeometrySpec, SurrogateGeometry
-from .oracle import run_battery, stationarity_oracle
+from .oracle import fold_oracle, run_battery, stationarity_oracle
 from .persistence import (
     read_monitor_csv,
     write_monitor_csv,
@@ -220,6 +220,7 @@ def _preflight(cfg: RunConfig, geometry, quiet: bool, seed):
     reports = run_battery(g["base_grid"], g["fiber_grid"], g["fiber_modulus"],
                           seed=seed)
     reports.append(stationarity_oracle(geometry))
+    reports.append(fold_oracle(geometry, seed=seed))
     for r in reports:
         _emit(quiet, r.line())
     return reports
@@ -339,6 +340,7 @@ def cmd_oracle_check(cfg: RunConfig, quiet: bool = False, seed=None,
     reports = run_battery(g["base_grid"], g["fiber_grid"], g["fiber_modulus"],
                           seed=seed)
     reports.append(stationarity_oracle(geometry, density_scale=omega_scale))
+    reports.append(fold_oracle(geometry, seed=seed))
     for r in reports:
         print(r.line())
     if not all(r.passed for r in reports):

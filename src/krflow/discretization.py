@@ -16,8 +16,6 @@ Derivatives are Fourier-spectral.  First-derivative symbols are zeroed at
 the Nyquist frequency of each axis, and every second-order symbol is built
 as a product of first-order ones, so the discrete mixed Hessian of any real
 field has exactly zero grid mean and maps real fields to Hermitian fields.
-A fourth-order centered finite-difference Hessian on the same grid is
-provided as an independent discretization of the same operator.
 """
 
 from __future__ import annotations
@@ -342,54 +340,6 @@ class SpectralGrid:
         s_b, s_bbar, _ = self._base_syms
         sym = s_b if kind == "holo" else s_bbar
         return sfft.ifft2(sym * sfft.fft2(f2))
-
-    # -- finite-difference operators --------------------------------------
-
-    def fd_hessian(self, phi: np.ndarray) -> HermitianField:
-        """Fourth-order centered finite-difference mixed Hessian.
-
-        Same operator as hessian() under an independent discretization;
-        pure second derivatives use the 5-point fourth-order stencil and
-        mixed ones compose fourth-order first-derivative stencils.
-        """
-        phi = np.broadcast_to(phi, self.shape)
-        hb = 1.0 / self.n_base
-        hf = 1.0 / self.n_fiber
-        d2x = _fd_d2(phi, 0, hb)
-        d2y = _fd_d2(phi, 1, hb)
-        d2u = _fd_d2(phi, 2, hf)
-        d2v = _fd_d2(phi, 3, hf)
-        dx = _fd_d1(phi, 0, hb)
-        dy = _fd_d1(phi, 1, hb)
-        dxu = _fd_d1(dx, 2, hf)
-        dxv = _fd_d1(dx, 3, hf)
-        dyu = _fd_d1(dy, 2, hf)
-        dyv = _fd_d1(dy, 3, hf)
-        duv = _fd_d1(_fd_d1(phi, 2, hf), 3, hf)
-        c, d = self._fiber_coeffs
-        bb = 0.25 * (d2x + d2y)
-        ff = (abs(c) ** 2) * d2u + 2.0 * np.real(c * np.conj(d)) * duv + (abs(d) ** 2) * d2v
-        cc, dc = np.conj(c), np.conj(d)
-        bf = 0.5 * (cc * dxu + dc * dxv) - 0.5j * (cc * dyu + dc * dyv)
-        return HermitianField(bb, bf, ff)
-
-
-def _fd_d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order centered first derivative along a periodic axis."""
-    fp1 = np.roll(f, -1, axis)
-    fm1 = np.roll(f, 1, axis)
-    fp2 = np.roll(f, -2, axis)
-    fm2 = np.roll(f, 2, axis)
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
-
-
-def _fd_d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order centered second derivative along a periodic axis."""
-    fp1 = np.roll(f, -1, axis)
-    fm1 = np.roll(f, 1, axis)
-    fp2 = np.roll(f, -2, axis)
-    fm2 = np.roll(f, 2, axis)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 
 def restrict_to_fiber(f: np.ndarray, grid: SpectralGrid, ib: int, jb: int) -> FiberSlice:

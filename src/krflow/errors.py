@@ -37,10 +37,6 @@ class OutOfDomain(KrflowError):
     """A requested point lies outside the chart or grid it was addressed to."""
 
 
-class InterpolationOutOfDomain(KrflowError):
-    """A ghost point could not be pulled back to an interior interpolation stencil."""
-
-
 class InsufficientSamples(KrflowError):
     """A fit window contains too few monitor samples to regress."""
 

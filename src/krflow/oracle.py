@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the solver.
 
 Everything here is deliberately written against different machinery than the
-production code paths: second-order roll stencils instead of spectral
-symbols, a dense assembled matrix instead of an FFT Poisson solve, and a
-generic adaptive ODE integrator instead of the PDE stepper.  Agreement
+production code paths: second- and fourth-order roll stencils instead of
+spectral symbols, a dense assembled matrix instead of an FFT Poisson solve,
+and a generic adaptive ODE integrator instead of the PDE stepper.  Agreement
 between the two sides is what the test suite (and the `oracle-check` CLI
 subcommand) certifies.
 """
@@ -26,32 +26,102 @@ def _roll_d2(f, axis, h):
     return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
 
 
-def dense_hessian_oracle(grid: SpectralGrid, phi: np.ndarray) -> HermitianField:
-    """Second-order centered-difference mixed Hessian on the product grid.
+def fiber_hessian_oracle(grid: SpectralGrid, f2: np.ndarray) -> np.ndarray:
+    """Second-order ff-block Hessian along the last two axes (u, v) of f2."""
+    hf = 1.0 / grid.n_fiber
+    c, d = grid._fiber_coeffs
+    d2u = _roll_d2(f2, -2, hf)
+    d2v = _roll_d2(f2, -1, hf)
+    duv = _roll_d1(_roll_d1(f2, -2, hf), -1, hf)
+    return (abs(c) ** 2) * d2u + 2.0 * np.real(c * np.conj(d)) * duv + (abs(d) ** 2) * d2v
 
-    Independent of both production discretizations (spectral and
-    fourth-order FD); converges at order 2 to the same operator.
+
+def _base_hessian_oracle(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    """Second-order bb-block Hessian along the first two axes (x, y) of f."""
+    hb = 1.0 / grid.n_base
+    return 0.25 * (_roll_d2(f, 0, hb) + _roll_d2(f, 1, hb))
+
+
+def _bf_plane_oracle(grid: SpectralGrid, phi: np.ndarray, k: int) -> np.ndarray:
+    """Second-order bf block of the 4D field phi on its u-plane k.
+
+    The whole-grid roll stencil restricted to the plane: its rolls touch
+    every axis, but u only by one cell (in dxu and dyu), so the plane needs
+    just its two u-neighbours.
+    """
+    hb = 1.0 / grid.n_base
+    hf = 1.0 / grid.n_fiber
+    c, d = grid._fiber_coeffs
+    nf = grid.n_fiber
+    f = phi[:, :, [(k + 1) % nf, k, (k - 1) % nf]]
+    dx = _roll_d1(f, 0, hb)
+    dy = _roll_d1(f, 1, hb)
+    dxu = (dx[:, :, 0] - dx[:, :, 2]) / (2.0 * hf)
+    dyu = (dy[:, :, 0] - dy[:, :, 2]) / (2.0 * hf)
+    dxv = _roll_d1(dx[:, :, 1], 2, hf)
+    dyv = _roll_d1(dy[:, :, 1], 2, hf)
+    cc, dc = np.conj(c), np.conj(d)
+    return 0.5 * (cc * dxu + dc * dxv) - 0.5j * (cc * dyu + dc * dyv)
+
+
+def hessian_refinement_error(n: int, tau: complex = 1j, seed: int | None = None) -> float:
+    """max |spectral - dense| over the Hessian blocks of the test field on n^4.
+
+    The dense side is the second-order centered-difference mixed Hessian,
+    independent of both production discretizations and convergent at order
+    2 to the same operator.  Blocks are taken one at a time: the spectral
+    block is one irfft of symbol x spectrum, and the matching roll block is
+    built slab by slab along an axis its rolls do not touch (bb over u, ff
+    over x) or, for bf, whose rolls touch every axis, on u-planes with their
+    two neighbours.  Besides the field and its spectrum, at most two whole
+    fields (bf's Re and Im) and one irfft's product and work arrays are
+    alive at once; the maximum is the whole-grid one, bit for bit.
+    """
+    grid = SpectralGrid(n, n, tau)
+    phi = _test_field(grid, seed)
+    spec = grid.rfft(phi)
+    s_bb, s_ff, s_re, s_im = grid._half_hessian_syms
+
+    err = 0.0
+    for sym, stencil, axis in ((s_bb, _base_hessian_oracle, 2), (s_ff, fiber_hessian_oracle, 0)):
+        block = grid.irfft(sym * spec)
+        for k in range(n):
+            slab = (slice(None),) * axis + (k,)
+            err = max(err, float(np.max(np.abs(block[slab] - stencil(grid, phi[slab])))))
+        del block
+
+    re = grid.irfft(s_re * spec)
+    spec *= s_im
+    im = grid.irfft(spec)
+    del spec
+    for k in range(n):
+        gap = re[:, :, k] + 1j * im[:, :, k] - _bf_plane_oracle(grid, phi, k)
+        err = max(err, float(np.max(np.abs(gap))))
+    return err
+
+
+def fd_hessian(grid: SpectralGrid, phi: np.ndarray) -> HermitianField:
+    """Fourth-order centered finite-difference mixed Hessian.
+
+    Same operator as grid.hessian() under an independent discretization;
+    pure second derivatives use the 5-point fourth-order stencil and mixed
+    ones compose fourth-order first-derivative stencils.
     """
     phi = np.broadcast_to(phi, grid.shape)
     hb = 1.0 / grid.n_base
     hf = 1.0 / grid.n_fiber
-    a, b = grid.tau.real, grid.tau.imag
-    c = 0.5 + 0.5j * a / b
-    d = -0.5j / b
-
-    d2x = _roll_d2(phi, 0, hb)
-    d2y = _roll_d2(phi, 1, hb)
-    d2u = _roll_d2(phi, 2, hf)
-    d2v = _roll_d2(phi, 3, hf)
-    dx = _roll_d1(phi, 0, hb)
-    dy = _roll_d1(phi, 1, hb)
-    du = _roll_d1(phi, 2, hf)
-    duv = _roll_d1(du, 3, hf)
-    dxu = _roll_d1(dx, 2, hf)
-    dxv = _roll_d1(dx, 3, hf)
-    dyu = _roll_d1(dy, 2, hf)
-    dyv = _roll_d1(dy, 3, hf)
-
+    d2x = _fd_d2(phi, 0, hb)
+    d2y = _fd_d2(phi, 1, hb)
+    d2u = _fd_d2(phi, 2, hf)
+    d2v = _fd_d2(phi, 3, hf)
+    dx = _fd_d1(phi, 0, hb)
+    dy = _fd_d1(phi, 1, hb)
+    dxu = _fd_d1(dx, 2, hf)
+    dxv = _fd_d1(dx, 3, hf)
+    dyu = _fd_d1(dy, 2, hf)
+    dyv = _fd_d1(dy, 3, hf)
+    duv = _fd_d1(_fd_d1(phi, 2, hf), 3, hf)
+    c, d = grid._fiber_coeffs
     bb = 0.25 * (d2x + d2y)
     ff = (abs(c) ** 2) * d2u + 2.0 * np.real(c * np.conj(d)) * duv + (abs(d) ** 2) * d2v
     cc, dc = np.conj(c), np.conj(d)
@@ -59,16 +129,22 @@ def dense_hessian_oracle(grid: SpectralGrid, phi: np.ndarray) -> HermitianField:
     return HermitianField(bb, bf, ff)
 
 
-def fiber_hessian_oracle(grid: SpectralGrid, f2: np.ndarray) -> np.ndarray:
-    """Second-order ff-block Hessian on a single fiber (2D field)."""
-    hf = 1.0 / grid.n_fiber
-    a, b = grid.tau.real, grid.tau.imag
-    c = 0.5 + 0.5j * a / b
-    d = -0.5j / b
-    d2u = _roll_d2(f2, 0, hf)
-    d2v = _roll_d2(f2, 1, hf)
-    duv = _roll_d1(_roll_d1(f2, 0, hf), 1, hf)
-    return (abs(c) ** 2) * d2u + 2.0 * np.real(c * np.conj(d)) * duv + (abs(d) ** 2) * d2v
+def _fd_d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order centered first derivative along a periodic axis."""
+    fp1 = np.roll(f, -1, axis)
+    fm1 = np.roll(f, 1, axis)
+    fp2 = np.roll(f, -2, axis)
+    fm2 = np.roll(f, 2, axis)
+    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+
+
+def _fd_d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Fourth-order centered second derivative along a periodic axis."""
+    fp1 = np.roll(f, -1, axis)
+    fm1 = np.roll(f, 1, axis)
+    fp2 = np.roll(f, -2, axis)
+    fm2 = np.roll(f, 2, axis)
+    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
 
 
 def dense_fiber_poisson_oracle(grid: SpectralGrid, rhs2: np.ndarray) -> np.ndarray:
@@ -239,32 +315,75 @@ def stationarity_oracle(geometry, density_scale: float = 1.0,
     )
 
 
+def fold_oracle(geometry, seed: int | None = None) -> OracleReport:
+    """The flow's folded metric must equal hat(t) + H(phi) built the long way.
+
+    FlowProblem never forms the reference family: it folds psi_0 into the
+    transformed potential and adds closed-form scalar blocks (see
+    FlowProblem._forcing).  This compares metric(phi, t) with hat(t) +
+    hessian(phi) at t = 0, 1 and 5, for phi a small multiple of the test
+    field, on a twin of the geometry: same grid, base form and psi_0, but
+    base and fiber scales off 1 (and at least the run's, so the twin's
+    initial form is positive), so that every term of the fold is seen.
+    Each block's gap is taken relative to that block's largest entry: the
+    two sides round differently by about eps times the scales.
+    """
+    from .flow import FlowProblem
+    from .geometry import GeometrySpec, SurrogateGeometry
+
+    spec = geometry.spec
+    twin = SurrogateGeometry(
+        geometry.grid,
+        GeometrySpec(base_level=spec.base_level, base_ripple=spec.base_ripple,
+                     base_scale=1.5 * max(spec.base_scale, 1.0),
+                     fiber_scale=2.0 * max(spec.fiber_scale, 1.0)),
+        psi0=geometry.psi0,
+    )
+    problem = FlowProblem(twin)
+    phi = 1e-5 * _test_field(twin.grid, seed)
+    h = twin.grid.hessian(phi)
+    devs = []
+    for t in (0.0, 1.0, 5.0):
+        got = problem.metric(phi, t)
+        want = twin.hat(t)
+        gaps = []
+        for a, b, hb in ((got.bb, want.bb, h.bb), (got.bf, want.bf, h.bf),
+                         (got.ff, want.ff, h.ff)):
+            b += hb
+            gaps.append(float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
+        devs.append(max(gaps))
+        del got, want
+    worst = max(devs)
+    return OracleReport(
+        "reference form fold (metric vs hat + hessian)",
+        bool(worst < 1e-12),
+        worst,
+        1e-12,
+        "per-t relative gaps " + " ".join(f"{d:.2e}" for d in devs),
+    )
+
+
 def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
                 seed: int | None = None) -> list[OracleReport]:
     """Cross-checks between production operators and the references here.
 
     Returns one report per check; the CLI prints them and fails the process
-    if any is red.  Keep this cheap — it runs as a preflight.
+    if any is red.  Keep this cheap — it runs as a preflight.  With n_base
+    and n_fiber at most 32 its memory is set by check 1's fine grid, 2 *
+    min(n_base, 32) points a side, on which hessian_refinement_error keeps
+    about five whole fields alive at once.  On larger grids check 2 sets it:
+    fd_hessian forms about 19 whole fields of the uncapped n_base^2 x
+    n_fiber^2 grid, 160 MB traced at 32^4 and so about 2.5 GB at 64^4.
     """
     reports = []
-    grid = SpectralGrid(n_base, n_fiber, tau)
-    phi = _test_field(grid, seed)
 
     # 1. Spectral Hessian vs dense oracle under refinement: order ~ 2.
-    # The pair is capped at 32/64 so the preflight stays bounded in memory.
-    errs = []
+    # The pair is capped at 32/64; up to 32^4 its fine grid sets the peak.
+    # Measured with Python 3.11, numpy 2.4, scipy 1.17 on a 2-core x86-64
+    # box: run_battery(32, 32) peaks at 875 MB ru_maxrss in a fresh process
+    # (134 MB a real 64^4 field), run_battery(16, 16) at 44 MB traced.
     n_lo = min(n_base, 32)
-    for n in (n_lo, 2 * n_lo):
-        g = SpectralGrid(n, n, tau)
-        p = _test_field(g, seed)
-        spec_h = g.hessian(p)
-        dense_h = dense_hessian_oracle(g, p)
-        err = max(
-            float(np.max(np.abs(spec_h.bb - dense_h.bb))),
-            float(np.max(np.abs(spec_h.bf - dense_h.bf))),
-            float(np.max(np.abs(spec_h.ff - dense_h.ff))),
-        )
-        errs.append(err)
+    errs = [hessian_refinement_error(n, tau, seed) for n in (n_lo, 2 * n_lo)]
     order = refinement_order(errs[0], errs[1])
     reports.append(
         OracleReport(
@@ -276,8 +395,11 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
         )
     )
 
+    grid = SpectralGrid(n_base, n_fiber, tau)
+    phi = _test_field(grid, seed)
+
     # 2. Spectral vs fourth-order FD Hessian (independent discretizations).
-    fd = grid.fd_hessian(phi)
+    fd = fd_hessian(grid, phi)
     sp = grid.hessian(phi)
     gap = max(
         float(np.max(np.abs(fd.bb - sp.bb))),

@@ -215,7 +215,7 @@ class TestSimulate:
         with open(out / "oracles.csv") as fh:
             rows = fh.read().strip().splitlines()
         assert rows[0].startswith("name,passed,")
-        assert len(rows) == 7  # header + five battery checks + stationarity
+        assert len(rows) == 8  # header + five battery checks + stationarity + fold
         assert all(",True," in row for row in rows[1:])
 
     def test_out_flag_overrides_directory(self, tmp_path):
@@ -275,7 +275,7 @@ class TestOracleCheckAndFit:
         rc = cli.main(["--config", ini, "oracle-check"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 7
         assert "[FAIL]" not in out
 
     def test_fault_injection_is_caught(self, tmp_path, capsys):

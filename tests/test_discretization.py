@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from krflow.discretization import (
     wedge_density,
 )
 from krflow.errors import ConfigInvalid, OutOfDomain
+from krflow.flow import FlowProblem
+from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow import oracle
 
 TP = 2.0 * np.pi
@@ -138,7 +143,7 @@ class TestFiniteDifferenceHessian:
         grid = SpectralGrid(32, 8)
         x, y, u, v = grid.coords
         phi = np.cos(TP * x) + 0.0 * u
-        fd = grid.fd_hessian(phi)
+        fd = oracle.fd_hessian(grid, phi)
         sp = grid.hessian(phi)
         rel = np.max(np.abs(fd.bb - sp.bb)) / np.max(np.abs(sp.bb))
         assert rel < 2e-5
@@ -149,7 +154,7 @@ class TestFiniteDifferenceHessian:
             grid = SpectralGrid(n, n, tau=0.3 + 1.2j)
             x, y, u, v = grid.coords
             phi = np.cos(TP * (x + v)) + np.sin(TP * (y + u))
-            fd = grid.fd_hessian(phi)
+            fd = oracle.fd_hessian(grid, phi)
             sp = grid.hessian(phi)
             errs.append(max(np.max(np.abs(fd.bf - sp.bf)), np.max(np.abs(fd.ff - sp.ff))))
         order = oracle.refinement_order(errs[0], errs[1])
@@ -247,3 +252,84 @@ class TestOracleBattery:
         reports = oracle.run_battery(n_base=16, n_fiber=16, tau=0.3 + 1.1j)
         for r in reports:
             assert r.passed, r.line()
+
+    def test_battery_peak_allocation_is_bounded(self):
+        # The 16/32 refinement pair alone held ~15 whole 32^4 fields
+        # (221 MB traced) when the dense Hessian was formed whole.
+        tracemalloc.start()
+        try:
+            reports = oracle.run_battery(16, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in reports)
+        assert peak < 64e6, f"run_battery(16, 16) peaked at {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j])
+    def test_blockwise_refinement_error_matches_whole_grid(self, tau):
+        for n in (16, 32):
+            grid = SpectralGrid(n, n, tau)
+            phi = oracle._test_field(grid, seed=3)
+            spec_h = grid.hessian(phi)
+            dense_h = whole_grid_dense_hessian(grid, phi)
+            whole = max(
+                float(np.max(np.abs(spec_h.bb - dense_h.bb))),
+                float(np.max(np.abs(spec_h.bf - dense_h.bf))),
+                float(np.max(np.abs(spec_h.ff - dense_h.ff))),
+            )
+            blockwise = oracle.hessian_refinement_error(n, tau, seed=3)
+            assert blockwise == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+    def test_fold_oracle_passes_on_scaled_data(self):
+        grid = SpectralGrid(8, 8, 0.3 + 1.1j)
+        geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed", psi0_amplitude=0.03,
+                                                    base_scale=0.8, fiber_scale=1.3))
+        report = oracle.fold_oracle(geom, seed=2)
+        assert report.passed, report.line()
+
+    def test_fold_oracle_passes_at_large_scales(self):
+        # The twin scales the run's scales up; the two sides' rounding grows
+        # with them (an absolute gap of 1.8e-12 here), the relative gap not.
+        grid = SpectralGrid(8, 8, 0.3 + 1.1j)
+        geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed", psi0_amplitude=0.03,
+                                                    base_scale=4000.0, fiber_scale=6000.0))
+        report = oracle.fold_oracle(geom, seed=2)
+        assert report.passed, report.line()
+
+    def test_fold_oracle_sees_psi0_left_out(self, monkeypatch):
+        grid = SpectralGrid(8, 8)
+        geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed"))
+        forcing = FlowProblem._forcing
+
+        def psi0_left_out(self, u, t):
+            return forcing(self, u - math.exp(-t) * self.geometry.psi0_spec, t)
+
+        monkeypatch.setattr(FlowProblem, "_forcing", psi0_left_out)
+        report = oracle.fold_oracle(geom)
+        assert not report.passed
+        assert report.measured > 1e-3
+
+
+def whole_grid_dense_hessian(grid, phi):
+    """The second-order roll-stencil Hessian formed on the whole grid at once."""
+
+    def d1(f, axis, h):
+        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+
+    def d2(f, axis, h):
+        return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
+
+    hb = 1.0 / grid.n_base
+    hf = 1.0 / grid.n_fiber
+    a, b = grid.tau.real, grid.tau.imag
+    c = 0.5 + 0.5j * a / b
+    d = -0.5j / b
+    dx = d1(phi, 0, hb)
+    dy = d1(phi, 1, hb)
+    bb = 0.25 * (d2(phi, 0, hb) + d2(phi, 1, hb))
+    ff = ((abs(c) ** 2) * d2(phi, 2, hf) + 2.0 * np.real(c * np.conj(d)) * d1(d1(phi, 2, hf), 3, hf)
+          + (abs(d) ** 2) * d2(phi, 3, hf))
+    cc, dc = np.conj(c), np.conj(d)
+    bf = (0.5 * (cc * d1(dx, 2, hf) + dc * d1(dx, 3, hf))
+          - 0.5j * (cc * d1(dy, 2, hf) + dc * d1(dy, 3, hf)))
+    return HermitianField(bb, bf, ff)

@@ -432,6 +432,68 @@ class TestSpectralStepper:
                 assert np.max(gap) < 1e-13
 
 
+class TestRk4Stepper:
+    def test_four_rhs_a_step(self, monkeypatch):
+        # The step bound's rhs is the first stage: 4 rfft + 16 irfft a step.
+        p = problem(8, psi0_preset="mixed", psi0_amplitude=0.03)
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            def counted(arr, _name=name, _fn=getattr(p.grid, name)):
+                counts[_name] += 1
+                return _fn(arr)
+            monkeypatch.setattr(p.grid, name, counted)
+        start, per_step = {}, []
+        max_dt, call = flow._Rk4Stepper.max_dt, flow._Rk4Stepper.__call__
+
+        def bound(self, t):
+            start.update(counts)
+            return max_dt(self, t)
+
+        def step(self, t, dt):
+            call(self, t, dt)
+            per_step.append((counts["rfft"] - start["rfft"], counts["irfft"] - start["irfft"]))
+
+        monkeypatch.setattr(flow._Rk4Stepper, "max_dt", bound)
+        monkeypatch.setattr(flow._Rk4Stepper, "__call__", step)
+        res = p.run(FlowOptions(t_end=0.1, dt_max=0.01, scheme="rk4", sample_interval=0.05))
+        assert len(per_step) == res.total_steps > 10
+        assert set(per_step) == {(4, 16)}
+
+    def test_halving_reuses_the_first_stage(self, monkeypatch):
+        p = problem(8, psi0_preset="mixed", psi0_amplitude=0.03)
+        rhs = p.rhs
+        calls = []
+
+        def logged(phi, t):
+            calls.append((t, phi.tobytes()))
+            if len(calls) == 11:  # stage 3 of the third step
+                raise PositivityLost("forced")
+            return rhs(phi, t)
+
+        monkeypatch.setattr(p, "rhs", logged)
+        accepted = []
+        call = flow._Rk4Stepper.__call__
+
+        def recorded(self, t, dt):
+            call(self, t, dt)
+            accepted.append((t, dt))
+
+        monkeypatch.setattr(flow._Rk4Stepper, "__call__", recorded)
+        t_end = 0.05
+        res = p.run(FlowOptions(t_end=t_end, dt_max=0.01, scheme="rk4", sample_interval=t_end))
+        dts = [dt for _, dt in accepted]
+        assert dts[2] < 0.6 * min(dts[1], dts[3])  # the forced halving
+        # no rhs is evaluated twice at one state, the retried one included
+        # (the last call is the sample at t_end)
+        stepper_calls = calls[:-1]
+        assert len(set(stepper_calls)) == len(stepper_calls) == 4 * len(accepted) + 2
+
+        phi = np.zeros(p.grid.shape)
+        for t, dt in accepted:
+            phi = rk4_step(lambda tt, y: rhs(y, tt)[0], t, phi, dt)
+        assert np.array_equal(res.final_phi, phi)
+
+
 class TestSchemeAgreement:
     def test_imex2_matches_rk4_short_run(self):
         # The two steppers solve the same equation; at this dt the gap is
