@@ -249,20 +249,27 @@ class _Imex2Stepper:
 class _Rk4Stepper:
     """Classical RK4 on the physical state under the parabolic step bound.
 
-    The step bound needs the metric at the state, so max_dt evaluates the
-    rhs there and keeps it as the first stage of every attempt from that
-    state (halvings included): a step is four rhs, 4 rfft and 16 irfft.
+    The step bound needs the metric at the state, so the rhs and metric
+    there are evaluated once per state, by max_dt or by a sample at that
+    state, whichever comes first, and the rhs is the first stage of every
+    attempt from that state (halvings included): a step is four rhs,
+    4 rfft and 16 irfft, and a sample adds one rhs only where no step
+    follows it.
     """
 
     def __init__(self, problem: "FlowProblem", opts: "FlowOptions"):
         self.problem = problem
         self.opts = opts
         self.state = np.zeros(problem.grid.shape)
-        self.k1 = None  # rhs at the state, from max_dt
+        self.at_state = None  # (rhs, metric) at the state, once evaluated
+
+    def _evaluate(self, t):
+        if self.at_state is None:
+            self.at_state = self.problem.rhs(self.state, t)
+        return self.at_state
 
     def max_dt(self, t):
-        rhs, g = self.problem.rhs(self.state, t)
-        self.k1 = rhs
+        g = self._evaluate(t)[1]
         det = g.det()
         lam = float(np.max(np.maximum(g.ff, g.bb) / det + np.abs(g.bf) / det))
         h = 1.0 / max(self.problem.grid.n_base, self.problem.grid.n_fiber)
@@ -270,14 +277,15 @@ class _Rk4Stepper:
 
     def __call__(self, t, dt):
         self.state = rk4_step(lambda tt, p: self.problem.rhs(p, tt)[0], t, self.state, dt,
-                              k1=self.k1)
-        self.k1 = None
+                              k1=self.at_state[0])
+        self.at_state = None
 
     def phi(self) -> np.ndarray:
         return self.state
 
     def sample_rhs(self, phi, t):
-        return self.problem.rhs(phi, t)
+        """The rhs and metric at the stepper's own state (`phi` is that state)."""
+        return self._evaluate(t)
 
 
 @dataclass

@@ -434,7 +434,10 @@ class TestSpectralStepper:
 
 class TestRk4Stepper:
     def test_four_rhs_a_step(self, monkeypatch):
-        # The step bound's rhs is the first stage: 4 rfft + 16 irfft a step.
+        # The rhs at a state (from the step bound, or from a sample there)
+        # is the first stage: counted from the end of the previous step,
+        # every step is 4 rfft + 16 irfft, and only the sample at t_end,
+        # which no step follows, adds one rhs.
         p = problem(8, psi0_preset="mixed", psi0_amplitude=0.03)
         counts = {"rfft": 0, "irfft": 0}
         for name in counts:
@@ -442,22 +445,49 @@ class TestRk4Stepper:
                 counts[_name] += 1
                 return _fn(arr)
             monkeypatch.setattr(p.grid, name, counted)
-        start, per_step = {}, []
-        max_dt, call = flow._Rk4Stepper.max_dt, flow._Rk4Stepper.__call__
-
-        def bound(self, t):
-            start.update(counts)
-            return max_dt(self, t)
+        start, per_step = dict(counts), []
+        call = flow._Rk4Stepper.__call__
 
         def step(self, t, dt):
             call(self, t, dt)
             per_step.append((counts["rfft"] - start["rfft"], counts["irfft"] - start["irfft"]))
+            start.update(counts)
 
-        monkeypatch.setattr(flow._Rk4Stepper, "max_dt", bound)
         monkeypatch.setattr(flow._Rk4Stepper, "__call__", step)
         res = p.run(FlowOptions(t_end=0.1, dt_max=0.01, scheme="rk4", sample_interval=0.05))
         assert len(per_step) == res.total_steps > 10
         assert set(per_step) == {(4, 16)}
+        assert counts == {"rfft": 4 * res.total_steps + 1, "irfft": 16 * res.total_steps + 4}
+
+    def test_samples_reuse_the_step_bound_rhs(self, monkeypatch):
+        # A sample between steps evaluates the rhs the next step bound and
+        # first stage need, so no rhs is evaluated twice at one state.
+        p = problem(8, psi0_preset="mixed", psi0_amplitude=0.03)
+        rhs = p.rhs
+        calls = []
+
+        def logged(phi, t):
+            calls.append((t, phi.tobytes()))
+            return rhs(phi, t)
+
+        monkeypatch.setattr(p, "rhs", logged)
+        accepted = []
+        call = flow._Rk4Stepper.__call__
+
+        def recorded(self, t, dt):
+            call(self, t, dt)
+            accepted.append((t, dt))
+
+        monkeypatch.setattr(flow._Rk4Stepper, "__call__", recorded)
+        res = p.run(FlowOptions(t_end=0.3, dt_max=0.01, scheme="rk4", sample_interval=0.1),
+                    sampler=lambda *args: None)
+        assert len(res.records) == 3
+        assert len(set(calls)) == len(calls) == 4 * len(accepted) + 1
+
+        phi = np.zeros(p.grid.shape)
+        for t, dt in accepted:
+            phi = rk4_step(lambda tt, y: rhs(y, tt)[0], t, phi, dt)
+        assert np.array_equal(res.final_phi, phi)
 
     def test_halving_reuses_the_first_stage(self, monkeypatch):
         p = problem(8, psi0_preset="mixed", psi0_amplitude=0.03)

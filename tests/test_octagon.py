@@ -1,14 +1,18 @@
 """Tests for the hyperbolic-octagon base backend."""
 
+import math
+
 import numpy as np
 import pytest
 
 from krflow.errors import ConfigInvalid, NonFiniteValue
+from krflow.flow import rk4_step
 from krflow.octagon import (
     ALPHA,
     BETAS,
     OctagonGrid,
     W0,
+    W0_SQ,
     _cosh_dist,
     gauss_curvature,
     hyperbolic_density,
@@ -17,6 +21,8 @@ from krflow.octagon import (
     pair_apply,
     pair_derivative,
     reduce_to_fundamental,
+    rkc_coefficients,
+    rkc_step,
     run_base_flow,
     vertex_radius,
 )
@@ -28,6 +34,37 @@ def bump_series(z):
     for w in origin_orbit():
         total = total + np.exp(1.0 - _cosh_dist(z, w))
     return total
+
+
+def word_by_word_orbit(cosh_cut, max_depth):
+    """The breadth-first orbit search one word and one generator at a time:
+    prune by the remaining reach, de-duplicate centers on 8 decimals."""
+    gens = [np.array([[ALPHA, b], [np.conj(b), ALPHA]]) for b in BETAS]
+    step = math.acosh(1.0 + 2.0 * W0_SQ / (1.0 - W0_SQ))
+    d_cut = math.acosh(cosh_cut)
+
+    def key(c):
+        return (round(c.real, 8), round(c.imag, 8))
+
+    seen = {key(0j)}
+    centers = [0j]
+    frontier = [np.eye(2, dtype=complex)]
+    for depth in range(1, max_depth + 1):
+        nxt = []
+        budget = d_cut + step * (max_depth - depth)
+        for mat in frontier:
+            for gen in gens:
+                child = gen @ mat
+                c = child[0, 1] / child[1, 1]
+                d = math.acosh(float(_cosh_dist(c, 0j)))
+                if d > budget or key(c) in seen:
+                    continue
+                seen.add(key(c))
+                nxt.append(child)
+                if d <= d_cut:
+                    centers.append(complex(c))
+        frontier = nxt
+    return np.array(centers)
 
 
 def reference_dd_bar(func, z, h=1e-3):
@@ -154,6 +191,11 @@ class TestOriginOrbit:
         base = origin_orbit()
         deeper = origin_orbit(900.0, 8)
         assert base.size == deeper.size
+
+    @pytest.mark.parametrize("cut", [(), (900.0, 8)])
+    def test_batched_search_matches_the_word_by_word_search(self, cut):
+        expected = word_by_word_orbit(*(cut or (900.0, 7)))
+        assert np.array_equal(origin_orbit(*cut), expected)
 
     def test_bump_is_consistent_across_reduction(self):
         # the ghost machinery reads the bump at folded copies of exterior
@@ -306,6 +348,28 @@ class TestBaseFlow:
             run_base_flow(grid, phi0=phi0, t_end=0.5)
         assert len(fills) <= 1
 
+    def test_right_hand_sides_are_counted_exactly(self):
+        # s rhs a step (s = 5 at n = 48), one fill and one dd_bar for each
+        # rhs, one more of each per sample, and two for the curvature
+        grid = OctagonGrid(n=48)
+        calls = {"ghost_fill": 0, "dd_bar": 0}
+        for name in calls:
+            def counted(field, _name=name, _fn=getattr(grid, name)):
+                calls[_name] += 1
+                return _fn(field)
+            setattr(grid, name, counted)
+        result = run_base_flow(grid, t_end=0.25, sample_interval=0.1)
+        assert result.ts == [0.1, 0.2, 0.25]
+        assert result.rhs_evals == 5 * result.total_steps == 5 * 25
+        expected = result.rhs_evals + len(result.ts) + 2
+        assert calls == {"ghost_fill": expected, "dd_bar": expected}
+
+    @pytest.mark.parametrize("kw", [{"cfl": 0.0}, {"dt_max": -0.01}])
+    def test_non_positive_step_settings_are_rejected(self, kw):
+        # either would leave the stage search or the time loop without end
+        with pytest.raises(ConfigInvalid):
+            run_base_flow(OctagonGrid(n=48), t_end=0.1, **kw)
+
     def test_non_commensurate_interval_ends_at_t_end(self):
         grid = OctagonGrid(n=48)
         result = run_base_flow(grid, t_end=1.0, sample_interval=0.6)
@@ -332,6 +396,8 @@ class TestBaseFlow:
         assert len(series) == 3  # two samples after the header
         summary = (out / "octagon_summary.txt").read_text()
         assert "curvature_mean" in summary
+        # 100 steps of 7 stages at n = 64
+        assert "total_steps = 100\nrhs_evals = 700\n" in summary
 
     def test_cli_entry_honours_dt_sample(self, tmp_path):
         from krflow.cli import parse_config
@@ -351,3 +417,44 @@ class TestBaseFlow:
         assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
             [0.1 * k for k in range(1, 11)]
         )
+
+
+class TestRungeKuttaChebyshev:
+    @pytest.mark.parametrize("s", range(2, 11))
+    def test_step_is_stable_on_the_real_interval(self, s):
+        coeffs = rkc_coefficients(s)
+        beta = coeffs[0]
+        # the damped interval of Verwer, Hundsdorfer & Sommeijer (1990)
+        assert beta == pytest.approx((2.0 / 3.0) * (s * s - 1) * (1.0 - 4.0 / 195.0), rel=0.01)
+        z = np.linspace(-beta, 0.0, 20001)
+        amp = rkc_step(lambda y: z * y, np.ones_like(z), 1.0, coeffs)
+        assert np.max(np.abs(amp)) <= 1.0 + 1e-12
+
+    def test_second_order_at_a_fixed_stage_count(self):
+        # error at t = 1 against a fine RK4 reference; cfl moves with dt so
+        # that s = 6 throughout (beta(5) < dt * stiff / cfl <= beta(6))
+        grid = OctagonGrid(n=64)
+        phi0 = grid.invariant_bump()
+        idx = grid.interior
+        inv_lam = 1.0 / grid.lam_hyp[idx]
+
+        def rhs(_t, p):
+            out = np.zeros_like(p)
+            out[idx] = np.log(1.0 + grid.dd_bar(grid.ghost_fill(p))[idx] * inv_lam) - p[idx]
+            return out
+
+        ref = phi0.copy()
+        ref[~idx & ~grid.ghosts] = 0.0
+        for k in range(1000):  # RK4 is stable up to dt ~ 1.06e-3 here
+            ref = rk4_step(rhs, k * 1e-3, ref, 1e-3)
+
+        stiff = (64.0 / 12.0) * 2.0 / (grid.h * grid.h) / (4.0 * np.min(grid.lam_hyp[idx])) + 1.0
+        mid = 0.5 * (rkc_coefficients(5)[0] + rkc_coefficients(6)[0])
+        errs = []
+        for dt in (0.01, 0.005, 0.0025):
+            res = run_base_flow(grid, phi0=phi0, t_end=1.0, sample_interval=1.0,
+                                dt_max=dt, cfl=dt * stiff / mid)
+            assert res.rhs_evals == 6 * res.total_steps == 6 * round(1.0 / dt)
+            errs.append(np.max(np.abs(res.final_phi[idx] - ref[idx])))
+        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
+        assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
