@@ -23,7 +23,6 @@ Typical use::
 from .analysis import (
     BOUNDED_MONITOR_FIELDS,
     DecayFit,
-    FiberFlatnessReport,
     MonitorEngine,
     MonitorRecord,
     bounded_monitor_check,
@@ -73,7 +72,6 @@ __all__ = [
     "BolzaFlowResult",
     "ConfigInvalid",
     "DecayFit",
-    "FiberFlatnessReport",
     "FlatFiberData",
     "FlowOptions",
     "FlowProblem",

@@ -644,39 +644,20 @@ def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0,
                     passed, int(tt.size))
 
 
-@dataclass
-class FiberFlatnessReport:
-    """Log-slopes of the squared fiber deviation norms and the identity defect."""
+def fiber_flatness_rates(records, t_min: float = 2.0, t_max: float = 6.0) -> float:
+    """Worst delta_psi identity residual of the records on [t_min, t_max].
 
-    slopes: dict          # k -> slope of log fiber_dev[k]; nan when all zero
-    residual_max: float   # worst delta_psi identity residual on the window
-    n_points: int
-
-
-def fiber_flatness_rates(records, t_min: float = 2.0, t_max: float = 6.0
-                         ) -> FiberFlatnessReport:
-    """Decay rates of the (already squared) fiber deviation monitors.
-
-    Orders with no positive samples on the window (a stationary run) get a
-    nan slope rather than an error; a window with fewer than 4 records
-    raises InsufficientSamples.
+    The fiber deviation monitors themselves get no rate fit: on this window
+    they are the stepper's O(dt^2) error, so a log-slope would measure the
+    integrator, not the flow.  A window with fewer than 4 records raises
+    InsufficientSamples.
     """
     window = [r for r in records if t_min - 1e-12 <= r.t <= t_max + 1e-12]
     if len(window) < 4:
         raise InsufficientSamples(
             f"need at least 4 records in [{t_min}, {t_max}], got {len(window)}"
         )
-    ts = [r.t for r in window]
-    slopes = {}
-    for k in range(3):
-        vals = [getattr(r, f"fiber_dev{k}") for r in window]
-        try:
-            slopes[k], _, _ = log_slope_fit(ts, vals, t_min, t_max)
-        except InsufficientSamples:
-            slopes[k] = float("nan")
-    resid = max(r.delta_psi_residual for r in window)
-    return FiberFlatnessReport(slopes=slopes, residual_max=resid,
-                               n_points=len(window))
+    return max(r.delta_psi_residual for r in window)
 
 
 def drift_stats(records, t_min: float, t_max: float):

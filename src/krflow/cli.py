@@ -60,10 +60,8 @@ _SCHEMA = {
     "flow": {
         "t_end": (float, 8.0),
         "dt_max": (float, 0.00625),
-        "c_cfl": (float, 0.2),
         "dt_sample": (float, 0.05),
         "positivity_threshold": (float, 1e-8),
-        "scheme": (str, "imex2"),
         "max_halvings": (int, 40),
     },
     "analysis": {
@@ -102,8 +100,6 @@ class RunConfig:
         return FlowOptions(
             t_end=f["t_end"],
             dt_max=f["dt_max"],
-            cfl_safety=f["c_cfl"],
-            scheme=f["scheme"],
             positivity_floor=f["positivity_threshold"],
             max_halvings=f["max_halvings"],
             sample_interval=f["dt_sample"],
@@ -181,7 +177,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.values["output"]["snapshot_interval"] < 0:
         raise ConfigInvalid("snapshot_interval must be >= 0")
     # Constructing the validated objects surfaces any remaining range
-    # errors (levels, scales, grid sizes, scheme, dt) with their own messages.
+    # errors (levels, scales, grid sizes, dt) with their own messages.
     cfg.geometry_spec()
     cfg.flow_options()
     cfg.grid()
@@ -215,14 +211,14 @@ def _write_oracle_csv(path, reports) -> None:
                              f"{r.tolerance:.17g}", r.detail])
 
 
-def _preflight(cfg: RunConfig, geometry, quiet: bool, seed):
+def _preflight(cfg: RunConfig, geometry, seed, density_scale: float = 1.0):
+    """The oracle reports `simulate` and `oracle-check` both run: the
+    discretization battery, then stationarity and the fold on `geometry`."""
     g = cfg.values["geometry"]
     reports = run_battery(g["base_grid"], g["fiber_grid"], g["fiber_modulus"],
                           seed=seed)
-    reports.append(stationarity_oracle(geometry))
+    reports.append(stationarity_oracle(geometry, density_scale=density_scale))
     reports.append(fold_oracle(geometry, seed=seed))
-    for r in reports:
-        _emit(quiet, r.line())
     return reports
 
 
@@ -252,7 +248,9 @@ def cmd_simulate(cfg: RunConfig, out_dir, quiet: bool = False, seed=None) -> int
     grid = cfg.grid()
     geometry = SurrogateGeometry(grid, cfg.geometry_spec())
 
-    reports = _preflight(cfg, geometry, quiet, seed)
+    reports = _preflight(cfg, geometry, seed)
+    for r in reports:
+        _emit(quiet, r.line())
     _write_oracle_csv(os.path.join(out_dir, "oracles.csv"), reports)
     if not all(r.passed for r in reports):
         print("failure_reason = OracleFailure: preflight oracle check failed")
@@ -318,10 +316,7 @@ def _analysis_summary(cfg: RunConfig, records) -> dict:
     except InsufficientSamples:
         out["fit_passed"] = "not_enough_samples"
     try:
-        # Only the identity residual: on the fit window the fiber monitors
-        # are the stepper's O(dt^2) error, so their log-slopes would report
-        # the integrator, not a flow rate.
-        out["delta_psi_residual_max"] = fiber_flatness_rates(records, t0, t1).residual_max
+        out["delta_psi_residual_max"] = fiber_flatness_rates(records, t0, t1)
     except InsufficientSamples:
         pass
     try:
@@ -336,11 +331,7 @@ def cmd_oracle_check(cfg: RunConfig, quiet: bool = False, seed=None,
                      omega_scale: float = 1.0) -> int:
     grid = cfg.grid()
     geometry = SurrogateGeometry(grid, cfg.geometry_spec())
-    g = cfg.values["geometry"]
-    reports = run_battery(g["base_grid"], g["fiber_grid"], g["fiber_modulus"],
-                          seed=seed)
-    reports.append(stationarity_oracle(geometry, density_scale=omega_scale))
-    reports.append(fold_oracle(geometry, seed=seed))
+    reports = _preflight(cfg, geometry, seed, density_scale=omega_scale)
     for r in reports:
         print(r.line())
     if not all(r.passed for r in reports):

@@ -10,41 +10,33 @@ the mixed complex Hessian, and Omega is the pinned volume density (a
 base-only field).  All wedge combinatorics are folded into Omega, so the
 right-hand side is literally t + log(det g) - log(Omega) - phi.
 
-Two steppers are provided.
+The stepper is semi-implicit BDF2 ("imex2").  The Fourier-diagonal proxy
+M = mu_b * dd_b + mu_f * dd_f - 1, with mu_* the midrange of the current
+pointwise inverse-metric coefficients, is solved implicitly (a diagonal
+division per mode); the remainder F(phi) - M phi is extrapolated
+explicitly to second order.  The remainder is a *relative* perturbation
+of the proxy of size (max - min)/(max + min) < 1 uniformly in t, so the
+step stays stable at fixed dt even though the fiber diffusivity itself
+grows like e^t; an explicit step would shrink like e^{-t}.  An
+integrating-factor RK4 variant was tried and rejected: with any diagonal
+factor the transformed remainder acquires exponentially large cross-mode
+entries once dt * mu * k^2 >> 1, and runs with fiber-coupled data went
+unstable near t ~ 3 + ln(dt_ref/dt) in practice.
 
-* "rk4": classical explicit Runge-Kutta with the parabolic step bound
-  dt = min(dt_max, cfl_safety * h^2 / Lambda), Lambda the largest pointwise
-  eigenvalue of the inverse metric.  Robust but the bound collapses like
-  e^{-t} as the fiber shrinks, so it is only practical for short runs.
-
-* "imex2" (default): semi-implicit BDF2.  The Fourier-diagonal proxy
-  M = mu_b * dd_b + mu_f * dd_f - 1, with mu_* the midrange of the current
-  pointwise inverse-metric coefficients, is solved implicitly (a diagonal
-  division per mode); the remainder F(phi) - M phi is extrapolated
-  explicitly to second order.  The remainder is a *relative* perturbation
-  of the proxy of size (max - min)/(max + min) < 1 uniformly in t, so the
-  step stays stable at fixed dt even though the fiber diffusivity itself
-  grows like e^t.  An integrating-factor RK4 variant was tried and
-  rejected: with any diagonal factor the transformed remainder acquires
-  exponentially large cross-mode entries once dt * mu * k^2 >> 1, and runs
-  with fiber-coupled data went unstable near t ~ 3 + ln(dt_ref/dt) in
-  practice.
-
-  The stepper carries the spectral state rfft(phi), and two identities
-  keep a step at five transforms (one rfft, four irfft):
-  - the -phi of F cancels the -1 of M, so the remainder is F' - M' phi
-    with F' = t + log det g - log Omega and M' = M + 1; phi itself is
-    transformed back only at sample, snapshot and end times;
-  - g_hat(t) + Hess(phi) = (a_t chi, 0, e^{-t} fiber_scale) + Hess(w) with
-    w = phi + e^{-t} psi_0 and a_t = 1 + (base_scale - 1) e^{-t}, since
-    omega_0 = base_scale chi + fiber_scale omega_E + Hess(psi_0); so the
-    metric blocks are four irfft of rfft(phi) + e^{-t} rfft(psi_0), and no
-    reference form is built.
-  Each interval between events is split into equal steps of at most
-  dt_max, and the step ratio keeps BDF2's zero-stability bound 1 + sqrt(2).
-
-Both steppers halve dt and retry when positivity of the evolving form is
-lost at any stage, up to max_halvings times.
+The stepper carries the spectral state rfft(phi), and two identities
+keep a step at five transforms (one rfft, four irfft):
+- the -phi of F cancels the -1 of M, so the remainder is F' - M' phi
+  with F' = t + log det g - log Omega and M' = M + 1; phi itself is
+  transformed back only at sample, snapshot and end times;
+- g_hat(t) + Hess(phi) = (a_t chi, 0, e^{-t} fiber_scale) + Hess(w) with
+  w = phi + e^{-t} psi_0 and a_t = 1 + (base_scale - 1) e^{-t}, since
+  omega_0 = base_scale chi + fiber_scale omega_E + Hess(psi_0); so the
+  metric blocks are four irfft of rfft(phi) + e^{-t} rfft(psi_0), and no
+  reference form is built.
+Each interval between events is split into equal steps of at most
+dt_max, and the step ratio keeps BDF2's zero-stability bound 1 + sqrt(2).
+The stepper halves dt and retries when positivity of the evolving form is
+lost, up to max_halvings times.
 """
 
 from __future__ import annotations
@@ -79,15 +71,13 @@ class HomogeneousCoefficients:
         return self.b0 * np.exp(-np.asarray(t, dtype=float))
 
 
-def rk4_step(f, t, y, h, k1=None):
+def rk4_step(f, t, y, h):
     """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) by h.
 
-    The production RK4 loops share it (the verification oracles keep
-    their own integrators); `y` may be a float or an array.  `k1`, if
-    given, is f(t, y) already evaluated by the caller.
+    The two reference integrators below share it (the verification oracles
+    keep their own); `y` may be a float or an array.
     """
-    if k1 is None:
-        k1 = f(t, y)
+    k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
@@ -119,7 +109,7 @@ def homogeneous_potential(a0: float, t_eval, dt: float = 1e-3) -> np.ndarray:
 def sample_times(t_end: float, interval: float) -> list:
     """Sorted sample times: the multiples k * interval <= t_end, plus t_end.
 
-    A multiple may exceed t_end by 1e-12 (the steppers' event slack), so a
+    A multiple may exceed t_end by 1e-12 (the run's event slack), so a
     commensurate interval ends exactly on its last multiple; times are
     rounded to 12 decimals.
     """
@@ -133,15 +123,11 @@ def sample_times(t_end: float, interval: float) -> list:
 class FlowOptions:
     t_end: float = 10.0
     dt_max: float = 0.00625
-    cfl_safety: float = 0.2
-    scheme: str = "imex2"
     positivity_floor: float = 1e-8
     max_halvings: int = 40
     sample_interval: float = 0.05
 
     def __post_init__(self):
-        if self.scheme not in ("imex2", "rk4"):
-            raise ConfigInvalid(f"unknown scheme {self.scheme!r}; choose imex2 or rk4")
         if self.t_end <= 0 or self.dt_max <= 0 or self.sample_interval <= 0:
             raise ConfigInvalid("t_end, dt_max and sample_interval must be positive")
 
@@ -184,9 +170,8 @@ class _Imex2Stepper:
     start-up instead.
     """
 
-    def __init__(self, problem: "FlowProblem", dt_max: float):
+    def __init__(self, problem: "FlowProblem"):
         self.problem = problem
-        self.dt_max = dt_max
         s_bb, s_ff, _, _ = problem.grid._half_hessian_syms
         self.u = np.zeros(np.broadcast_shapes(s_bb.shape, s_ff.shape), dtype=complex)
         self.f = None         # rfft(F') at the accepted point, once evaluated
@@ -194,9 +179,6 @@ class _Imex2Stepper:
         self.forcing = None   # F' there, until the next step starts
         self.blocks = None    # (bb, Re bf, Im bf, ff) there, likewise
         self.u_prev = self.f_prev = self.h_prev = None
-
-    def max_dt(self, t):
-        return self.dt_max
 
     def _evaluate(self, u, t):
         """(rfft(F'), midranges, F', blocks) of the state u at time t."""
@@ -240,52 +222,10 @@ class _Imex2Stepper:
     def phi(self) -> np.ndarray:
         return self.problem.grid.irfft(self.u)
 
-    def sample_rhs(self, phi, t):
+    def sample_rhs(self, phi):
         """The rhs and metric blocks at the accepted point, with no transform."""
         bb, re, im, ff = self.blocks
         return self.forcing - phi, HermitianField(bb, re + 1j * im, ff)
-
-
-class _Rk4Stepper:
-    """Classical RK4 on the physical state under the parabolic step bound.
-
-    The step bound needs the metric at the state, so the rhs and metric
-    there are evaluated once per state, by max_dt or by a sample at that
-    state, whichever comes first, and the rhs is the first stage of every
-    attempt from that state (halvings included): a step is four rhs,
-    4 rfft and 16 irfft, and a sample adds one rhs only where no step
-    follows it.
-    """
-
-    def __init__(self, problem: "FlowProblem", opts: "FlowOptions"):
-        self.problem = problem
-        self.opts = opts
-        self.state = np.zeros(problem.grid.shape)
-        self.at_state = None  # (rhs, metric) at the state, once evaluated
-
-    def _evaluate(self, t):
-        if self.at_state is None:
-            self.at_state = self.problem.rhs(self.state, t)
-        return self.at_state
-
-    def max_dt(self, t):
-        g = self._evaluate(t)[1]
-        det = g.det()
-        lam = float(np.max(np.maximum(g.ff, g.bb) / det + np.abs(g.bf) / det))
-        h = 1.0 / max(self.problem.grid.n_base, self.problem.grid.n_fiber)
-        return min(self.opts.dt_max, self.opts.cfl_safety * h * h / lam)
-
-    def __call__(self, t, dt):
-        self.state = rk4_step(lambda tt, p: self.problem.rhs(p, tt)[0], t, self.state, dt,
-                              k1=self.at_state[0])
-        self.at_state = None
-
-    def phi(self) -> np.ndarray:
-        return self.state
-
-    def sample_rhs(self, phi, t):
-        """The rhs and metric at the stepper's own state (`phi` is that state)."""
-        return self._evaluate(t)
 
 
 @dataclass
@@ -311,7 +251,7 @@ class FlowResult:
 
 
 class FlowProblem:
-    """Bundles grid, geometry and pinned density; owns the steppers."""
+    """Bundles grid, geometry and pinned density; owns the stepper."""
 
     def __init__(self, geometry: SurrogateGeometry, omega_density: np.ndarray | None = None):
         self.geometry = geometry
@@ -394,11 +334,10 @@ class FlowProblem:
         Samples land on the multiples of sample_interval up to t_end, plus
         t_end itself (see sample_times), and on any snapshot times; each
         interval between these events is split into equal steps of at most
-        the stepper's bound, and the run never passes t_end.  `sampler`,
-        if given, is called as sampler(problem, t, phi, rhs, g) at each
-        sample time and its return value collected into result.records.
+        dt_max, and the run never passes t_end.  `sampler`, if given, is
+        called as sampler(problem, t, phi, rhs, g) at each sample time and
+        its return value collected into result.records.
         """
-        opts = opts if isinstance(opts, FlowOptions) else FlowOptions(**opts)
         phi = np.zeros(self.grid.shape)
         t = 0.0
         steps = 0
@@ -414,7 +353,7 @@ class FlowProblem:
         def take_sample(tt):
             cur_phi = stepper.phi()
             if round(tt, 12) in sample_set:
-                rhs, g = stepper.sample_rhs(cur_phi, tt)
+                rhs, g = stepper.sample_rhs(cur_phi)
                 if not np.all(np.isfinite(rhs)):
                     raise NonFiniteValue(f"right-hand side lost finiteness at t={tt:.6f}")
                 lo, hi = relative_eigen_bounds(g, self.geometry.tilde(tt))
@@ -436,14 +375,13 @@ class FlowProblem:
         if 0.0 in snapshot_set:
             snapshots[0.0] = phi.copy()
 
-        stepper = (_Imex2Stepper(self, opts.dt_max) if opts.scheme == "imex2"
-                   else _Rk4Stepper(self, opts))
+        stepper = _Imex2Stepper(self)
 
         for target in event_list:
             while t < target - 1e-12:
-                # equal steps of at most the stepper's bound over the rest of
-                # the interval, so an event never forces a short step
-                n = max(1, math.ceil((target - t) / stepper.max_dt(t) - 1e-9))
+                # equal steps of at most dt_max over the rest of the
+                # interval, so an event never forces a short step
+                n = max(1, math.ceil((target - t) / opts.dt_max - 1e-9))
                 dt = (target - t) / n
                 for halving in range(opts.max_halvings + 1):
                     try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .discretization import HermitianField, SpectralGrid
 
@@ -175,6 +174,8 @@ def homogeneous_potential_oracle(a0: float, t_eval: np.ndarray) -> np.ndarray:
     Uses an adaptive high-order integrator at tight tolerance; this is the
     reference the PDE stepper is held to on spatially homogeneous data.
     """
+    # Imported here so that `import krflow` does not load scipy.integrate.
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         return np.log1p((a0 - 1.0) * np.exp(-t)) - y[0]

@@ -275,20 +275,15 @@ class TestFiberFlatnessRates:
             blank_record(t, fiber_dev0=math.exp(-2.0 * t),
                          fiber_dev1=math.exp(-2.5 * t),
                          fiber_dev2=math.exp(-2.2 * t),
-                         delta_psi_residual=1e-14)
+                         delta_psi_residual=1e-14 * t)
             for t in np.arange(0.0, 8.01, 0.1)
         ]
-        rep = fiber_flatness_rates(recs, 2.0, 6.0)
-        assert abs(rep.slopes[0] + 2.0) < 1e-10
-        assert abs(rep.slopes[1] + 2.5) < 1e-10
-        assert abs(rep.slopes[2] + 2.2) < 1e-10
-        assert rep.residual_max == 1e-14
+        # the worst residual inside the window, not over the whole run
+        assert fiber_flatness_rates(recs, 2.0, 6.0) == pytest.approx(6e-14, rel=1e-12, abs=0.0)
 
     def test_stationary_series_reports_not_applicable(self):
         recs = [blank_record(t) for t in np.arange(0.0, 8.01, 0.1)]
-        rep = fiber_flatness_rates(recs, 2.0, 6.0)
-        assert all(math.isnan(rep.slopes[k]) for k in range(3))
-        assert rep.residual_max == 0.0
+        assert fiber_flatness_rates(recs, 2.0, 6.0) == 0.0
 
     def test_too_few_records_raises(self):
         recs = [blank_record(t) for t in (2.0, 3.0, 4.0)]

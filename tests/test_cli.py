@@ -49,10 +49,8 @@ class TestConfigParsing:
         [flow]
         t_end = 4.0
         dt_max = 0.0125
-        c_cfl = 0.1
         dt_sample = 0.2
         positivity_threshold = 1e-6
-        scheme = rk4
         max_halvings = 10
 
         [analysis]
@@ -68,13 +66,14 @@ class TestConfigParsing:
         assert cfg[("geometry", "base_backend")] == "bolza_octagon"
         assert cfg[("geometry", "fiber_modulus")] == 0.5 + 2j
         assert cfg[("geometry", "fiber_scale")] == 3.0
-        assert cfg[("flow", "scheme")] == "rk4"
         assert cfg[("analysis", "fiber_stride")] == 4
         assert cfg[("output", "directory")] == "/tmp/somewhere"
         spec = cfg.geometry_spec()
         assert spec.base_level == 1.5 and spec.psi0_preset == "mixed"
         opts = cfg.flow_options()
         assert opts.t_end == 4.0 and opts.sample_interval == 0.2
+        assert opts.dt_max == 0.0125 and opts.positivity_floor == 1e-6
+        assert opts.max_halvings == 10
 
     def test_comments_and_blanks_ignored(self):
         cfg = cli.parse_config("# top\n\n[flow]\nt_end = 2.0  # trailing\n\n")
@@ -132,9 +131,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="power of two"):
             cli.parse_config("[geometry]\nbase_grid = 12\n")
 
-    def test_bad_scheme(self):
-        with pytest.raises(ConfigInvalid):
-            cli.parse_config("[flow]\nscheme = euler\n")
+    def test_stepper_choice_keys_are_unknown(self):
+        # imex2 is the only stepper: the keys that chose another one are
+        # rejected like any unknown key, not accepted and ignored.
+        for line in ("scheme = imex2", "c_cfl = 0.2"):
+            key = line.split()[0]
+            with pytest.raises(ConfigInvalid, match=rf"line 3: unknown key '{key}'"):
+                cli.parse_config(f"[flow]\nt_end = 1.0\n{line}\n")
 
     def test_missing_file(self):
         with pytest.raises(ConfigInvalid, match="cannot read"):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -279,6 +282,16 @@ class TestOracleBattery:
             )
             blockwise = oracle.hessian_refinement_error(n, tau, seed=3)
             assert blockwise == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+    def test_package_import_leaves_scipy_integrate_unloaded(self):
+        # Only the test-only homogeneous reference integrates with scipy;
+        # every run's set-up pays for what `import krflow` loads.
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, krflow; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_fold_oracle_passes_on_scaled_data(self):
         grid = SpectralGrid(8, 8, 0.3 + 1.1j)
