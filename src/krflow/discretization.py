@@ -16,11 +16,15 @@ Derivatives are Fourier-spectral.  First-derivative symbols are zeroed at
 the Nyquist frequency of each axis, and every second-order symbol is built
 as a product of first-order ones, so the discrete mixed Hessian of any real
 field has exactly zero grid mean and maps real fields to Hermitian fields.
+Inverse transforms of one spectrum under several symbols run as one batch
+(SpectralGrid.irfft_batch), side by side on a thread pool on small grids.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +33,42 @@ import scipy.fft as sfft
 
 from .errors import ConfigInvalid, OutOfDomain
 
-_FFT_KW = {"workers": os.cpu_count() or 1}
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_FFT_KW = {"workers": _usable_cpus()}
+
+# Grids of at most this many points run a batch of inverse transforms one
+# single-worker transform per pool thread (SpectralGrid.irfft_batch); larger
+# grids split each transform across all workers.  Set from interleaved
+# medians on a 2-core box: at 16^4 pooling cuts the wall time of a step's
+# 4-irfft batch by 27-32% and of a monitor record by 10-16%, and the batch's
+# CPU time too; on larger grids its batch gains are uneven and cost CPU
+# time, and at 32^4 memory as well.  CHANGES.md has the figures.
+_POOL_MAX_POINTS = 16**4
+
+_pool = None  # started by the first pooled batch, with _FFT_KW["workers"] threads
+_pool_thread = threading.local()  # .workers is 1 on the pool's threads
+
+
+def _one_worker_per_pool_thread():
+    _pool_thread.workers = 1
+
+
+def _fft_pool():
+    global _pool
+    if _pool is None:
+        # imported here: the octagon backend and single-CPU runs never need it
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_FFT_KW["workers"], thread_name_prefix="krflow-fft",
+                                   initializer=_one_worker_per_pool_thread)
+    return _pool
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -251,7 +290,33 @@ class SpectralGrid:
         return sfft.rfftn(np.broadcast_to(f, self.shape), **_FFT_KW)
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(spec, s=self.shape, **_FFT_KW)
+        workers = getattr(_pool_thread, "workers", _FFT_KW["workers"])
+        return sfft.irfftn(spec, s=self.shape, workers=workers)
+
+    def irfft_batch(self, spec: np.ndarray, symbols) -> list:
+        """[irfft(s * spec) for s in symbols], side by side on small grids.
+
+        With several workers on a grid of at most _POOL_MAX_POINTS points,
+        the transforms run on the module pool, one single-worker transform
+        per thread (irfft takes one worker on a pool thread).  The outputs
+        are allocated here, on the calling thread, and each pool thread
+        copies its transform into one and frees its own product and
+        transform, so no long-lived field comes from a pool thread's
+        allocator.  Otherwise the transforms run one after another,
+        each with all workers, as single irfft calls would; with one worker
+        no thread starts.  A single-worker transform is bit-identical to a
+        multi-worker one, so the results do not depend on the branch.
+        """
+        workers = _FFT_KW["workers"]
+        if workers == 1 or math.prod(self.shape) > _POOL_MAX_POINTS:
+            return [self.irfft(sym * spec) for sym in symbols]
+        out = [np.empty(self.shape) for _ in symbols]
+
+        def one(k):
+            out[k][...] = self.irfft(symbols[k] * spec)
+
+        list(_fft_pool().map(one, range(len(symbols))))
+        return out
 
     def fft_c(self, f: np.ndarray) -> np.ndarray:
         return sfft.fftn(np.broadcast_to(f, self.shape), **_FFT_KW)
@@ -269,11 +334,8 @@ class SpectralGrid:
 
     def spectral_hessian(self, spec: np.ndarray) -> HermitianField:
         """hessian() of the real field whose rfft is `spec`."""
-        s_bb, s_ff, s_bf_re, s_bf_im = self._half_hessian_syms
-        bb = self.irfft(s_bb * spec)
-        ff = self.irfft(s_ff * spec)
-        bf = self.irfft(s_bf_re * spec) + 1j * self.irfft(s_bf_im * spec)
-        return HermitianField(bb, bf, ff)
+        bb, ff, re, im = self.irfft_batch(spec, self._half_hessian_syms)
+        return HermitianField(bb, re + 1j * im, ff)
 
     def deriv(self, f: np.ndarray, kind: str, direction: str) -> np.ndarray:
         """Complex derivative of a (possibly complex) field.

@@ -33,6 +33,8 @@ keep a step at five transforms (one rfft, four irfft):
   omega_0 = base_scale chi + fiber_scale omega_E + Hess(psi_0); so the
   metric blocks are four irfft of rfft(phi) + e^{-t} rfft(psi_0), and no
   reference form is built.
+The four irfft run as one SpectralGrid.irfft_batch call: side by side, one
+per pool thread, on small grids, and one after another above its cutoff.
 Each interval between events is split into equal steps of at most
 dt_max, and the step ratio keeps BDF2's zero-stability bound 1 + sqrt(2).
 The stepper halves dt and retries when positivity of the evolving form is
@@ -285,7 +287,7 @@ class FlowProblem:
         e^{-t} fiber_scale) + H(phi + e^{-t} psi_0) with a_t = 1 + (base_scale
         - 1) e^{-t}, because omega_0 = base_scale chi + fiber_scale omega_E +
         H(psi_0) and H is linear; so the blocks are four irfft of u + e^{-t}
-        rfft(psi_0) and no reference form is built.
+        rfft(psi_0), one irfft_batch call, and no reference form is built.
 
         Raises unless the minima of bb, ff and det are finite and positive.
         A NaN or -inf entry reaches its block's minimum and fails no `<= 0`
@@ -294,17 +296,13 @@ class FlowProblem:
         """
         grid = self.grid
         geom = self.geometry
-        s_bb, s_ff, s_re, s_im = grid._half_hessian_syms
         e = math.exp(-t)
         w = geom.psi0_spec * e
         w += u
-        bb = grid.irfft(s_bb * w)
-        bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
-        ff = grid.irfft(s_ff * w)
-        ff += e * geom.spec.fiber_scale * geom.g_fiber
-        re = grid.irfft(s_re * w)
-        im = grid.irfft(s_im * w)
+        bb, ff, re, im = grid.irfft_batch(w, grid._half_hessian_syms)
         del w
+        bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
+        ff += e * geom.spec.fiber_scale * geom.g_fiber
         det = bb * ff
         det -= re * re
         det -= im * im

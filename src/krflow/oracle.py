@@ -106,44 +106,65 @@ def fd_hessian(grid: SpectralGrid, phi: np.ndarray) -> HermitianField:
     pure second derivatives use the 5-point fourth-order stencil and mixed
     ones compose fourth-order first-derivative stencils.
     """
-    phi = np.broadcast_to(phi, grid.shape)
-    hb = 1.0 / grid.n_base
-    hf = 1.0 / grid.n_fiber
-    d2x = _fd_d2(phi, 0, hb)
-    d2y = _fd_d2(phi, 1, hb)
-    d2u = _fd_d2(phi, 2, hf)
-    d2v = _fd_d2(phi, 3, hf)
-    dx = _fd_d1(phi, 0, hb)
-    dy = _fd_d1(phi, 1, hb)
-    dxu = _fd_d1(dx, 2, hf)
-    dxv = _fd_d1(dx, 3, hf)
-    dyu = _fd_d1(dy, 2, hf)
-    dyv = _fd_d1(dy, 3, hf)
-    duv = _fd_d1(_fd_d1(phi, 2, hf), 3, hf)
-    c, d = grid._fiber_coeffs
-    bb = 0.25 * (d2x + d2y)
-    ff = (abs(c) ** 2) * d2u + 2.0 * np.real(c * np.conj(d)) * duv + (abs(d) ** 2) * d2v
-    cc, dc = np.conj(c), np.conj(d)
-    bf = 0.5 * (cc * dxu + dc * dxv) - 0.5j * (cc * dyu + dc * dyv)
+    bb, ff, bf = _fd_hessian_blocks(grid, phi)
     return HermitianField(bb, bf, ff)
 
 
+def _fd_hessian_blocks(grid: SpectralGrid, phi: np.ndarray):
+    """Yield fd_hessian's bb, ff and bf blocks, each formed only when asked for.
+
+    A caller that drops each block before asking for the next holds one
+    block's stencil terms at a time, not all eleven.
+    """
+    phi = np.broadcast_to(phi, grid.shape)
+    hb = 1.0 / grid.n_base
+    hf = 1.0 / grid.n_fiber
+    c, d = grid._fiber_coeffs
+    yield 0.25 * (_fd_d2(phi, 0, hb) + _fd_d2(phi, 1, hb))
+
+    duv = _fd_d1(_fd_d1(phi, 2, hf), 3, hf)
+    yield ((abs(c) ** 2) * _fd_d2(phi, 2, hf) + 2.0 * np.real(c * np.conj(d)) * duv
+           + (abs(d) ** 2) * _fd_d2(phi, 3, hf))
+
+    cc, dc = np.conj(c), np.conj(d)
+    dx = _fd_d1(phi, 0, hb)
+    x_part = 0.5 * (cc * _fd_d1(dx, 2, hf) + dc * _fd_d1(dx, 3, hf))
+    del dx
+    dy = _fd_d1(phi, 1, hb)
+    yield x_part - 0.5j * (cc * _fd_d1(dy, 2, hf) + dc * _fd_d1(dy, 3, hf))
+
+
 def _fd_d1(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order centered first derivative along a periodic axis."""
-    fp1 = np.roll(f, -1, axis)
-    fm1 = np.roll(f, 1, axis)
-    fp2 = np.roll(f, -2, axis)
-    fm2 = np.roll(f, 2, axis)
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+    """Fourth-order centered first derivative along a periodic axis.
+
+    (8 (f[+1] - f[-1]) - (f[+2] - f[-2])) / 12h, accumulated in place: at
+    most three arrays of f's size are alive at once, where all four shifts
+    and their differences would be six.
+    """
+    out = np.roll(f, -1, axis)
+    out -= np.roll(f, 1, axis)
+    out *= 8.0
+    far = np.roll(f, -2, axis)
+    far -= np.roll(f, 2, axis)
+    out -= far
+    out /= 12.0 * h
+    return out
 
 
 def _fd_d2(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Fourth-order centered second derivative along a periodic axis."""
-    fp1 = np.roll(f, -1, axis)
-    fm1 = np.roll(f, 1, axis)
-    fp2 = np.roll(f, -2, axis)
-    fm2 = np.roll(f, 2, axis)
-    return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    """Fourth-order centered second derivative along a periodic axis.
+
+    (-f[+2] + 16 f[+1] - 30 f + 16 f[-1] - f[-2]) / 12h^2, accumulated in
+    place, left to right, with the same rounding: at most three arrays of
+    f's size are alive at once besides f.
+    """
+    out = -np.roll(f, -2, axis)
+    out += 16.0 * np.roll(f, -1, axis)
+    out -= 30.0 * f
+    out += 16.0 * np.roll(f, 1, axis)
+    out -= np.roll(f, 2, axis)
+    out /= 12.0 * h * h
+    return out
 
 
 def dense_fiber_poisson_oracle(grid: SpectralGrid, rhs2: np.ndarray) -> np.ndarray:
@@ -373,8 +394,10 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     and n_fiber at most 32 its memory is set by check 1's fine grid, 2 *
     min(n_base, 32) points a side, on which hessian_refinement_error keeps
     about five whole fields alive at once.  On larger grids check 2 sets it:
-    fd_hessian forms about 19 whole fields of the uncapped n_base^2 x
-    n_fiber^2 grid, 160 MB traced at 32^4 and so about 2.5 GB at 64^4.
+    on the uncapped n_base^2 x n_fiber^2 grid it holds the test field and
+    its spectral Hessian (five fields, which check 3 reads too) and forms
+    the FD Hessian one block at a time, about 15 whole fields at most:
+    127 MB traced at 32^4, so about 2 GB at 64^4.
     """
     reports = []
 
@@ -399,14 +422,13 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     grid = SpectralGrid(n_base, n_fiber, tau)
     phi = _test_field(grid, seed)
 
-    # 2. Spectral vs fourth-order FD Hessian (independent discretizations).
-    fd = fd_hessian(grid, phi)
+    # 2. Spectral vs fourth-order FD Hessian (independent discretizations),
+    # one FD block at a time.
     sp = grid.hessian(phi)
-    gap = max(
-        float(np.max(np.abs(fd.bb - sp.bb))),
-        float(np.max(np.abs(fd.bf - sp.bf))),
-        float(np.max(np.abs(fd.ff - sp.ff))),
-    )
+    gap = 0.0
+    for fd_block, sp_block in zip(_fd_hessian_blocks(grid, phi), (sp.bb, sp.ff, sp.bf)):
+        gap = max(gap, float(np.max(np.abs(fd_block - sp_block))))
+        del fd_block  # before the generator forms the next block
     scale = float(np.max(np.abs(sp.bb)) + np.max(np.abs(sp.ff)))
     fd_tol = fd_gap_tolerance(n_base)
     reports.append(

@@ -1,4 +1,6 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +261,18 @@ class TestDecayFit:
         ts = np.arange(0.0, 8.01, 0.5)
         with pytest.raises(InsufficientSamples):
             decay_fit(ts, np.exp(-ts), 2.0, 6.0)
+
+    def test_readme_example_prints_existing_fields(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = [ln for ln in fh if ln.startswith("print(fit.")]
+        assert len(lines) == 1
+        names = re.findall(r"fit\.(\w+)", lines[0])
+        assert names
+        ts = np.arange(0.0, 8.01, 0.05)
+        fit = decay_fit(ts, (1 + ts) * np.exp(-ts))
+        for name in names:
+            assert hasattr(fit, name), f"README prints fit.{name}, which DecayFit lacks"
 
     def test_log_slope_fit_recovers_rate(self):
         ts = np.arange(0.0, 8.01, 0.05)

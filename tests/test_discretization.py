@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,10 @@ from krflow.discretization import (
     trace_with,
     wedge_density,
 )
+from krflow import discretization
+from krflow.analysis import MonitorEngine
 from krflow.errors import ConfigInvalid, OutOfDomain
-from krflow.flow import FlowProblem
+from krflow.flow import FlowOptions, FlowProblem
 from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow import oracle
 
@@ -283,6 +286,23 @@ class TestOracleBattery:
             blockwise = oracle.hessian_refinement_error(n, tau, seed=3)
             assert blockwise == pytest.approx(whole, rel=1e-12, abs=0.0)
 
+    def test_fd_check_is_the_whole_grid_gap(self):
+        # Check 2 forms the FD Hessian block by block; its figure must be the
+        # one the whole-grid FD Hessian gives, bit for bit.
+        grid = SpectralGrid(16, 16, 0.3 + 1.1j)
+        phi = oracle._test_field(grid, seed=5)
+        fd = whole_grid_fd4_hessian(grid, phi)
+        sp = grid.hessian(phi)
+        gap = max(float(np.max(np.abs(fd.bb - sp.bb))), float(np.max(np.abs(fd.bf - sp.bf))),
+                  float(np.max(np.abs(fd.ff - sp.ff))))
+        scale = float(np.max(np.abs(sp.bb)) + np.max(np.abs(sp.ff)))
+        report = oracle.run_battery(16, 16, 0.3 + 1.1j, seed=5)[1]
+        assert report.name == "fourth-order FD vs spectral Hessian"
+        assert report.measured == gap / scale
+        whole = oracle.fd_hessian(grid, phi)
+        for a, b in ((whole.bb, fd.bb), (whole.bf, fd.bf), (whole.ff, fd.ff)):
+            assert np.array_equal(a, b)
+
     def test_package_import_leaves_scipy_integrate_unloaded(self):
         # Only the test-only homogeneous reference integrates with scipy;
         # every run's set-up pays for what `import krflow` loads.
@@ -321,6 +341,109 @@ class TestOracleBattery:
         report = oracle.fold_oracle(geom)
         assert not report.passed
         assert report.measured > 1e-3
+
+
+class TestIrfftBatches:
+    """SpectralGrid.irfft_batch: pooled and sequential branches agree bit for bit."""
+
+    @staticmethod
+    def _run(monkeypatch, setting):
+        if setting == "pool":
+            monkeypatch.setitem(discretization._FFT_KW, "workers",
+                                max(2, discretization._FFT_KW["workers"]))
+        elif setting == "one worker":
+            monkeypatch.setitem(discretization._FFT_KW, "workers", 1)
+        else:
+            monkeypatch.setattr(discretization, "_POOL_MAX_POINTS", 0)
+        off_main = []
+        irfft = SpectralGrid.irfft
+
+        def counted(self, spec):
+            off_main.append(threading.current_thread() is not threading.main_thread())
+            return irfft(self, spec)
+
+        monkeypatch.setattr(SpectralGrid, "irfft", counted)
+        grid = SpectralGrid(8, 8, 0.3 + 1.1j)
+        geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed", psi0_amplitude=0.03,
+                                                    base_scale=1.2))
+        problem = FlowProblem(geom)
+        engine = MonitorEngine(problem)
+        result = problem.run(FlowOptions(t_end=0.1, dt_max=0.02, sample_interval=0.05),
+                             sampler=engine.record)
+        monkeypatch.undo()
+        return result, off_main
+
+    def test_flow_and_records_identical_across_settings(self, monkeypatch):
+        runs = {s: self._run(monkeypatch, s) for s in ("pool", "one worker", "sequential")}
+        pooled, off_main = runs.pop("pool")
+        assert len(pooled.records) == 2
+        # Every batched transform ran on a pool thread; only phi itself is
+        # transformed back on the main thread, once per sample.
+        assert off_main.count(False) == len(pooled.records)
+        for name, (result, off_main) in runs.items():
+            assert not any(off_main), name
+            assert np.array_equal(result.final_phi, pooled.final_phi), name
+            assert [r.row() for r in result.records] == [r.row() for r in pooled.records], name
+
+    def test_spectral_hessian_identical_on_both_branches_above_cutoff(self, monkeypatch):
+        grid = SpectralGrid(16, 32, 0.3 + 1.1j)
+        assert math.prod(grid.shape) > discretization._POOL_MAX_POINTS
+        spec = grid.rfft(band_limited_field(grid, seed=4))
+        sequential = grid.spectral_hessian(spec)
+        monkeypatch.setitem(discretization._FFT_KW, "workers",
+                            max(2, discretization._FFT_KW["workers"]))
+        monkeypatch.setattr(discretization, "_POOL_MAX_POINTS", math.prod(grid.shape))
+        pooled = grid.spectral_hessian(spec)
+        for a, b in ((sequential.bb, pooled.bb), (sequential.bf, pooled.bf),
+                     (sequential.ff, pooled.ff)):
+            assert np.array_equal(a, b)
+
+    def test_import_and_octagon_run_start_no_thread(self):
+        # The torus pool starts on the first pooled batch, not before.
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import threading, krflow\n"
+            "print(threading.active_count())\n"
+            "krflow.run_base_flow(krflow.OctagonGrid(48), t_end=0.05)\n"
+            "print(threading.active_count())\n"
+            "from krflow import discretization\n"
+            "discretization._FFT_KW['workers'] = 2\n"
+            "krflow.SpectralGrid(8, 8).hessian(discretization.np.ones((8, 8, 8, 8)))\n"
+            "print(threading.active_count())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=300)
+        counts = [int(x) for x in out.stdout.split()]
+        assert counts[:2] == [1, 1]
+        assert counts[2] > 1
+
+
+def whole_grid_fd4_hessian(grid, phi):
+    """The fourth-order FD Hessian with every stencil term formed whole."""
+
+    def d1(f, axis, h):
+        fp1, fm1 = np.roll(f, -1, axis), np.roll(f, 1, axis)
+        fp2, fm2 = np.roll(f, -2, axis), np.roll(f, 2, axis)
+        return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+
+    def d2(f, axis, h):
+        fp1, fm1 = np.roll(f, -1, axis), np.roll(f, 1, axis)
+        fp2, fm2 = np.roll(f, -2, axis), np.roll(f, 2, axis)
+        return (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * h * h)
+
+    hb = 1.0 / grid.n_base
+    hf = 1.0 / grid.n_fiber
+    c, d = grid._fiber_coeffs
+    dx = d1(phi, 0, hb)
+    dy = d1(phi, 1, hb)
+    bb = 0.25 * (d2(phi, 0, hb) + d2(phi, 1, hb))
+    ff = ((abs(c) ** 2) * d2(phi, 2, hf) + 2.0 * np.real(c * np.conj(d)) * d1(d1(phi, 2, hf), 3, hf)
+          + (abs(d) ** 2) * d2(phi, 3, hf))
+    cc, dc = np.conj(c), np.conj(d)
+    bf = (0.5 * (cc * d1(dx, 2, hf) + dc * d1(dx, 3, hf))
+          - 0.5j * (cc * d1(dy, 2, hf) + dc * d1(dy, 3, hf)))
+    return HermitianField(bb, bf, ff)
 
 
 def whole_grid_dense_hessian(grid, phi):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from krflow import flow
+from krflow import discretization, flow
 from krflow.discretization import HermitianField, SpectralGrid
 from krflow.errors import NonFiniteValue, PositivityLost
 from krflow.flow import (
@@ -193,6 +193,8 @@ class TestRunMechanics:
         # bb, ff, Re bf, Im bf.  -inf in bb reaches its minimum; +inf in ff
         # keeps every minimum finite and shows in the transformed rhs; +inf
         # in Re bf drives det to -inf.  Each stops the run on that step.
+        # The call numbers assume the transforms run one after another.
+        monkeypatch.setitem(discretization._FFT_KW, "workers", 1)
         p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
         irfft_calls = {"n": 0}
         irfft = p.grid.irfft
