@@ -45,8 +45,6 @@ from .flow import (
     FlowProblem,
     FlowResult,
     FlowState,
-    HomogeneousCoefficients,
-    homogeneous_potential,
     product_reduced_run,
 )
 from .geometry import (
@@ -79,7 +77,6 @@ __all__ = [
     "FlowState",
     "GeometrySpec",
     "HermitianField",
-    "HomogeneousCoefficients",
     "InsufficientSamples",
     "KrflowError",
     "MonitorEngine",
@@ -99,7 +96,6 @@ __all__ = [
     "drift_stats",
     "fiber_flatness_rates",
     "gauss_curvature",
-    "homogeneous_potential",
     "product_reduced_run",
     "read_monitor_csv",
     "read_snapshot",

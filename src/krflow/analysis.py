@@ -343,12 +343,10 @@ class MonitorEngine:
 
     Precomputes base-form derivative tables and the half-spectrum symbol
     products that turn derivatives of g into two real inverse transforms of
-    the single rfft of  w = e^{-t} psi_0 + phi  per field.  A record's 46
-    inverse transforms run as two SpectralGrid.irfft_batch calls, side by
-    side on pool threads on small grids.  The curvature monitors contract
-    the 23 distinct derivative fields slab by slab in the pointwise
-    orthonormal frame of g, with no whole-grid tensor stacks: the only
-    whole-grid arrays are those fields and the three output fields.
+    the single rfft of  w = e^{-t} psi_0 + phi  per field.  The curvature
+    monitors contract the 23 distinct derivative fields slab by slab in the
+    pointwise orthonormal frame of g, with no whole-grid tensor stacks: the
+    only whole-grid arrays are those fields and the three output fields.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -395,14 +393,12 @@ class MonitorEngine:
         return (tuple(sorted(holo)), tuple(sorted(anti)))
 
     def _build_symbol_products(self):
-        """Real symbol pairs for the 23 derivative fields, grouped by parity.
+        """Real symbol pairs for the 23 derivative fields: key -> (parity, a, b).
 
-        Returns ((even_keys, even_symbols), (odd_keys, odd_symbols)), two
-        symbols per key in key order.  A product of n first-derivative
-        symbols is even or odd under k -> -k with n, so the field is
-        irfft(a * spec) + 1j irfft(b * spec) with real a, b: spec = w and
-        (a, b) = (Re, Im) of the symbol when n is even, spec = 1j w and
-        (a, b) = (Im, -Re) when n is odd.
+        A product of n first-derivative symbols is even or odd under k -> -k
+        with n, so the field is irfft(a * spec) + 1j irfft(b * spec) with
+        real a, b: spec = w and (a, b) = (Re, Im) of the symbol when n is
+        even (parity 0), spec = 1j w and (a, b) = (Im, -Re) when n is odd.
         """
         sh = self.grid.sym_half
         s1 = {0: sh[("holo", "b")], 1: sh[("holo", "f")]}
@@ -418,7 +414,7 @@ class MonitorEngine:
                     for d in range(2):
                         needed.add(self._key((a, b), (c, d)))   # DD and DA shapes
                         needed.add(self._key((a, b, c), (d,)))  # DH shapes
-        groups = (([], []), ([], []))
+        table = {}
         for holo, anti in sorted(needed):
             sym = np.ones((1, 1, 1, 1), dtype=np.complex128)
             for m in holo:
@@ -426,11 +422,9 @@ class MonitorEngine:
             for q in anti:
                 sym = sym * s1b[q]
             parity = (len(holo) + len(anti)) % 2
-            keys, symbols = groups[parity]
-            keys.append((holo, anti))
-            pair = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
-            symbols.extend(np.ascontiguousarray(p) for p in pair)
-        return groups
+            a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
+            table[(holo, anti)] = (parity, np.ascontiguousarray(a), np.ascontiguousarray(b))
+        return table
 
     # .. per-sample record ................................................
 
@@ -443,13 +437,11 @@ class MonitorEngine:
         w_spec = grid.rfft(math.exp(-t) * geom.psi0 + phi)
         # Mixed partials coincide after sorting the index multisets, so the
         # 56 components of D, DD, DH and DA need only these 23 fields: 46
-        # inverse transforms, run as two batches.
-        f = {}
-        for spec, (keys, symbols) in zip((w_spec, 1j * w_spec), self._symbols):
-            parts = grid.irfft_batch(spec, symbols)[::-1]
-            for key in keys:  # popped, so each pair is freed as it is combined
-                f[key] = parts.pop() + 1j * parts.pop()
-        del w_spec
+        # inverse transforms.
+        specs = (w_spec, 1j * w_spec)
+        f = {key: grid.irfft(a * specs[parity]) + 1j * grid.irfft(b * specs[parity])
+             for key, (parity, a, b) in self._symbols.items()}
+        del w_spec, specs
         # The base form a_t * chi enters only the pure-base components.
         f[((0, 0), (0,))] += a_t * self.dchi
         f[((0, 0), (0, 0))] += a_t * self.ddbar_chi

@@ -45,8 +45,6 @@ def _parse_complex(text: str) -> complex:
 _SCHEMA = {
     "geometry": {
         "base_backend": (str, "torus_surrogate"),
-        "m": (int, 1),
-        "n": (int, 1),
         "fiber_modulus": (_parse_complex, 1j),
         "twist_level": (float, 1.0),
         "twist_amplitude": (float, 0.02),
@@ -155,8 +153,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigInvalid(
             f"base_backend must be one of {BACKENDS}, got {g['base_backend']!r}"
         )
-    if (g["m"], g["n"]) != (1, 1):
-        raise ConfigInvalid("only complex dimensions m = n = 1 are supported")
     if g["fiber_modulus"].imag <= 0:
         raise ConfigInvalid(f"fiber_modulus needs Im > 0, got {g['fiber_modulus']}")
     if g["twist_amplitude"] < 0:

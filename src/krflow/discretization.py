@@ -16,15 +16,14 @@ Derivatives are Fourier-spectral.  First-derivative symbols are zeroed at
 the Nyquist frequency of each axis, and every second-order symbol is built
 as a product of first-order ones, so the discrete mixed Hessian of any real
 field has exactly zero grid mean and maps real fields to Hermitian fields.
-Inverse transforms of one spectrum under several symbols run as one batch
-(SpectralGrid.irfft_batch), side by side on a thread pool on small grids.
+Every 4D transform runs on the calling thread: on one worker on small grids
+(_ONE_WORKER_MAX_POINTS), split across all workers on larger ones.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,32 +42,14 @@ def _usable_cpus() -> int:
 
 _FFT_KW = {"workers": _usable_cpus()}
 
-# Grids of at most this many points run a batch of inverse transforms one
-# single-worker transform per pool thread (SpectralGrid.irfft_batch); larger
-# grids split each transform across all workers.  Set from interleaved
-# medians on a 2-core box: at 16^4 pooling cuts the wall time of a step's
-# 4-irfft batch by 27-32% and of a monitor record by 10-16%, and the batch's
-# CPU time too; on larger grids its batch gains are uneven and cost CPU
-# time, and at 32^4 memory as well.  CHANGES.md has the figures.
-_POOL_MAX_POINTS = 16**4
-
-_pool = None  # started by the first pooled batch, with _FFT_KW["workers"] threads
-_pool_thread = threading.local()  # .workers is 1 on the pool's threads
-
-
-def _one_worker_per_pool_thread():
-    _pool_thread.workers = 1
-
-
-def _fft_pool():
-    global _pool
-    if _pool is None:
-        # imported here: the octagon backend and single-CPU runs never need it
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_FFT_KW["workers"], thread_name_prefix="krflow-fft",
-                                   initializer=_one_worker_per_pool_thread)
-    return _pool
+# Grids of at most this many points run each 4D transform on one worker;
+# larger grids split it across _FFT_KW["workers"].  A single-worker
+# transform is bit-identical to a split one.  Interleaved medians of one
+# imex2 step on a 2-core box, one worker against two: 6.7-7.5 against
+# 8.1-8.4 ms at 16^4, with less CPU time; at 16^2*32^2 and 32^2*16^2
+# neither wins in every run; at 32^4 two workers win every run, 84-178
+# against 111-190 ms.  CHANGES.md has the figures for a monitor record.
+_ONE_WORKER_MAX_POINTS = 16**4
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -286,37 +267,17 @@ class SpectralGrid:
 
     # -- spectral operators ------------------------------------------------
 
+    @property
+    def _workers(self) -> int:
+        if math.prod(self.shape) <= _ONE_WORKER_MAX_POINTS:
+            return 1
+        return _FFT_KW["workers"]
+
     def rfft(self, f: np.ndarray) -> np.ndarray:
-        return sfft.rfftn(np.broadcast_to(f, self.shape), **_FFT_KW)
+        return sfft.rfftn(np.broadcast_to(f, self.shape), workers=self._workers)
 
     def irfft(self, spec: np.ndarray) -> np.ndarray:
-        workers = getattr(_pool_thread, "workers", _FFT_KW["workers"])
-        return sfft.irfftn(spec, s=self.shape, workers=workers)
-
-    def irfft_batch(self, spec: np.ndarray, symbols) -> list:
-        """[irfft(s * spec) for s in symbols], side by side on small grids.
-
-        With several workers on a grid of at most _POOL_MAX_POINTS points,
-        the transforms run on the module pool, one single-worker transform
-        per thread (irfft takes one worker on a pool thread).  The outputs
-        are allocated here, on the calling thread, and each pool thread
-        copies its transform into one and frees its own product and
-        transform, so no long-lived field comes from a pool thread's
-        allocator.  Otherwise the transforms run one after another,
-        each with all workers, as single irfft calls would; with one worker
-        no thread starts.  A single-worker transform is bit-identical to a
-        multi-worker one, so the results do not depend on the branch.
-        """
-        workers = _FFT_KW["workers"]
-        if workers == 1 or math.prod(self.shape) > _POOL_MAX_POINTS:
-            return [self.irfft(sym * spec) for sym in symbols]
-        out = [np.empty(self.shape) for _ in symbols]
-
-        def one(k):
-            out[k][...] = self.irfft(symbols[k] * spec)
-
-        list(_fft_pool().map(one, range(len(symbols))))
-        return out
+        return sfft.irfftn(spec, s=self.shape, workers=self._workers)
 
     def fft_c(self, f: np.ndarray) -> np.ndarray:
         return sfft.fftn(np.broadcast_to(f, self.shape), **_FFT_KW)
@@ -334,7 +295,7 @@ class SpectralGrid:
 
     def spectral_hessian(self, spec: np.ndarray) -> HermitianField:
         """hessian() of the real field whose rfft is `spec`."""
-        bb, ff, re, im = self.irfft_batch(spec, self._half_hessian_syms)
+        bb, ff, re, im = [self.irfft(s * spec) for s in self._half_hessian_syms]
         return HermitianField(bb, re + 1j * im, ff)
 
     def deriv(self, f: np.ndarray, kind: str, direction: str) -> np.ndarray:
@@ -364,10 +325,11 @@ class SpectralGrid:
         return np.real(sfft.ifft2(s_ff * sfft.fft2(f2)))
 
     def fiber_poisson(self, rhs2: np.ndarray) -> np.ndarray:
-        """Solve (mixed fiber Hessian) psi = rhs on one fiber, zero-mean psi.
+        """Solve (mixed fiber Hessian) psi = rhs on every fiber of the last two axes.
 
-        The rhs mean is projected out (the periodic problem is only solvable
-        up to it); callers that care check compatibility themselves.
+        psi has zero mean on each fiber.  The rhs mean is projected out (the
+        periodic problem is only solvable up to it); callers that care check
+        compatibility themselves.
         """
         _, _, s_ff = self._fiber_syms
         spec = sfft.fft2(rhs2)

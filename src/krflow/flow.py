@@ -33,8 +33,6 @@ keep a step at five transforms (one rfft, four irfft):
   omega_0 = base_scale chi + fiber_scale omega_E + Hess(psi_0); so the
   metric blocks are four irfft of rfft(phi) + e^{-t} rfft(psi_0), and no
   reference form is built.
-The four irfft run as one SpectralGrid.irfft_batch call: side by side, one
-per pool thread, on small grids, and one after another above its cutoff.
 Each interval between events is split into equal steps of at most
 dt_max, and the step ratio keeps BDF2's zero-stability bound 1 + sqrt(2).
 The stepper halves dt and retries when positivity of the evolving form is
@@ -53,30 +51,10 @@ from .errors import ConfigInvalid, NonFiniteValue, NonPositiveDensity, Positivit
 from .geometry import SurrogateGeometry
 
 
-@dataclass
-class HomogeneousCoefficients:
-    """Closed-form metric coefficients for spatially homogeneous data.
-
-    With omega_0 = a0 * chi + b0 * omega_E the evolving form stays
-    a(t) chi + b(t) omega_E with a(t) = 1 + (a0 - 1) e^{-t} and
-    b(t) = b0 e^{-t}; the potential solves the scalar equation
-    d(phi)/dt = log a(t) - phi.
-    """
-
-    a0: float = 1.0
-    b0: float = 1.0
-
-    def a(self, t):
-        return 1.0 + (self.a0 - 1.0) * np.exp(-np.asarray(t, dtype=float))
-
-    def b(self, t):
-        return self.b0 * np.exp(-np.asarray(t, dtype=float))
-
-
 def rk4_step(f, t, y, h):
     """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) by h.
 
-    The two reference integrators below share it (the verification oracles
+    The separable-product reference below uses it (the verification oracles
     keep their own); `y` may be a float or an array.
     """
     k1 = f(t, y)
@@ -84,28 +62,6 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def homogeneous_potential(a0: float, t_eval, dt: float = 1e-3) -> np.ndarray:
-    """Integrate d(phi)/dt = log a(t) - phi with fixed-step classical RK4.
-
-    The production-side reference for homogeneous runs; the verification
-    module holds an independent adaptive integration of the same equation.
-    """
-    t_eval = np.asarray(t_eval, dtype=float)
-
-    def f(t, y):
-        return math.log1p((a0 - 1.0) * math.exp(-t)) - y
-
-    out = np.empty_like(t_eval)
-    t, y = 0.0, 0.0
-    for i, target in enumerate(t_eval):
-        while t < target - 1e-14:
-            h = min(dt, target - t)
-            y = rk4_step(f, t, y, h)
-            t += h
-        out[i] = y
-    return out
 
 
 def sample_times(t_end: float, interval: float) -> list:
@@ -287,7 +243,7 @@ class FlowProblem:
         e^{-t} fiber_scale) + H(phi + e^{-t} psi_0) with a_t = 1 + (base_scale
         - 1) e^{-t}, because omega_0 = base_scale chi + fiber_scale omega_E +
         H(psi_0) and H is linear; so the blocks are four irfft of u + e^{-t}
-        rfft(psi_0), one irfft_batch call, and no reference form is built.
+        rfft(psi_0) and no reference form is built.
 
         Raises unless the minima of bb, ff and det are finite and positive.
         A NaN or -inf entry reaches its block's minimum and fails no `<= 0`
@@ -299,7 +255,7 @@ class FlowProblem:
         e = math.exp(-t)
         w = geom.psi0_spec * e
         w += u
-        bb, ff, re, im = grid.irfft_batch(w, grid._half_hessian_syms)
+        bb, ff, re, im = [grid.irfft(s * w) for s in grid._half_hessian_syms]
         del w
         bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
         ff += e * geom.spec.fiber_scale * geom.g_fiber

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .discretization import HermitianField, SpectralGrid
 from .errors import (
@@ -189,13 +188,7 @@ class SurrogateGeometry:
                 f"fiber-averaged flat coefficient is not positive: min {np.min(g_flat):.6g}"
             )
         # Solve i ddbar_f rho = g_flat - g0_ff on every fiber at once.
-        _, _, s_ff = self.grid._fiber_syms
-        sym = s_ff[None, None, :, :]
-        rhs = g_flat - g0_ff
-        spec = sfft.fft2(rhs, axes=(2, 3))
-        dead = sym == 0.0
-        sol = np.where(dead, 0.0, spec / np.where(dead, 1.0, sym))
-        rho = np.real(sfft.ifft2(sol, axes=(2, 3)))
+        rho = self.grid.fiber_poisson(g_flat - g0_ff)
         # Pin the additive fiber constant: omega_0-weighted fiber mean zero.
         w = g0_ff / np.sum(g0_ff, axis=(2, 3), keepdims=True)
         rho = rho - np.sum(rho * w, axis=(2, 3), keepdims=True)

@@ -21,7 +21,6 @@ class TestConfigParsing:
         assert cfg[("geometry", "base_grid")] == 32
         assert cfg[("geometry", "fiber_grid")] == 32
         assert cfg[("geometry", "fiber_modulus")] == 1j
-        assert cfg[("geometry", "m")] == 1 and cfg[("geometry", "n")] == 1
         assert cfg[("flow", "t_end")] == 8.0
         assert cfg[("flow", "dt_sample")] == 0.05
         assert cfg[("analysis", "fit_t_min")] == 2.0
@@ -34,8 +33,6 @@ class TestConfigParsing:
         # full config exercising every key
         [geometry]
         base_backend = bolza_octagon
-        m = 1
-        n = 1
         fiber_modulus = 0.5+2j
         twist_level = 1.5
         twist_amplitude = 0.01
@@ -107,9 +104,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigInvalid, match="twist_amplitude"):
             cli.parse_config("[geometry]\ntwist_amplitude = -1\n")
 
-    def test_dimensions_pinned(self):
-        with pytest.raises(ConfigInvalid, match="m = n = 1"):
-            cli.parse_config("[geometry]\nm = 2\n")
+    def test_dimensions_pinned(self, tmp_path, capsys):
+        # m = n = 1 is the only case: the keys that would set the dimensions
+        # are rejected like any unknown key, not accepted and checked.
+        for line in ("m = 1", "n = 1", "m = 2"):
+            key = line.split()[0]
+            with pytest.raises(ConfigInvalid, match=rf"line 2: unknown key '{key}'"):
+                cli.parse_config(f"[geometry]\n{line}\n")
+        ini = _write(tmp_path, "m.ini", "[geometry]\nm = 1\n")
+        assert cli.main(["--config", ini, "simulate"]) == 2
+        assert "unknown key 'm'" in capsys.readouterr().err
 
     def test_modulus_needs_positive_imag(self):
         with pytest.raises(ConfigInvalid, match="fiber_modulus"):

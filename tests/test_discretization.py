@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -343,26 +342,14 @@ class TestOracleBattery:
         assert report.measured > 1e-3
 
 
-class TestIrfftBatches:
-    """SpectralGrid.irfft_batch: pooled and sequential branches agree bit for bit."""
+class TestTransformWorkers:
+    """One worker per transform on small grids: same numbers, no thread."""
 
     @staticmethod
-    def _run(monkeypatch, setting):
-        if setting == "pool":
-            monkeypatch.setitem(discretization._FFT_KW, "workers",
-                                max(2, discretization._FFT_KW["workers"]))
-        elif setting == "one worker":
-            monkeypatch.setitem(discretization._FFT_KW, "workers", 1)
-        else:
-            monkeypatch.setattr(discretization, "_POOL_MAX_POINTS", 0)
-        off_main = []
-        irfft = SpectralGrid.irfft
-
-        def counted(self, spec):
-            off_main.append(threading.current_thread() is not threading.main_thread())
-            return irfft(self, spec)
-
-        monkeypatch.setattr(SpectralGrid, "irfft", counted)
+    def _run(monkeypatch, split_workers=None):
+        if split_workers is not None:
+            monkeypatch.setattr(discretization, "_ONE_WORKER_MAX_POINTS", 0)
+            monkeypatch.setitem(discretization._FFT_KW, "workers", split_workers)
         grid = SpectralGrid(8, 8, 0.3 + 1.1j)
         geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed", psi0_amplitude=0.03,
                                                     base_scale=1.2))
@@ -370,36 +357,33 @@ class TestIrfftBatches:
         engine = MonitorEngine(problem)
         result = problem.run(FlowOptions(t_end=0.1, dt_max=0.02, sample_interval=0.05),
                              sampler=engine.record)
+        used = grid._workers
         monkeypatch.undo()
-        return result, off_main
+        return result, used
 
-    def test_flow_and_records_identical_across_settings(self, monkeypatch):
-        runs = {s: self._run(monkeypatch, s) for s in ("pool", "one worker", "sequential")}
-        pooled, off_main = runs.pop("pool")
-        assert len(pooled.records) == 2
-        # Every batched transform ran on a pool thread; only phi itself is
-        # transformed back on the main thread, once per sample.
-        assert off_main.count(False) == len(pooled.records)
-        for name, (result, off_main) in runs.items():
-            assert not any(off_main), name
-            assert np.array_equal(result.final_phi, pooled.final_phi), name
-            assert [r.row() for r in result.records] == [r.row() for r in pooled.records], name
+    def test_flow_and_records_identical_across_worker_counts(self, monkeypatch):
+        shipped, used = self._run(monkeypatch)
+        assert used == 1 and len(shipped.records) == 2
+        for workers in (max(2, discretization._FFT_KW["workers"]), 1):
+            result, used = self._run(monkeypatch, split_workers=workers)
+            assert used == workers
+            assert np.array_equal(result.final_phi, shipped.final_phi), workers
+            assert [r.row() for r in result.records] == [r.row() for r in shipped.records], \
+                workers
 
-    def test_spectral_hessian_identical_on_both_branches_above_cutoff(self, monkeypatch):
+    def test_hessian_identical_across_workers_above_cutoff(self, monkeypatch):
         grid = SpectralGrid(16, 32, 0.3 + 1.1j)
-        assert math.prod(grid.shape) > discretization._POOL_MAX_POINTS
+        assert math.prod(grid.shape) > discretization._ONE_WORKER_MAX_POINTS
         spec = grid.rfft(band_limited_field(grid, seed=4))
-        sequential = grid.spectral_hessian(spec)
-        monkeypatch.setitem(discretization._FFT_KW, "workers",
-                            max(2, discretization._FFT_KW["workers"]))
-        monkeypatch.setattr(discretization, "_POOL_MAX_POINTS", math.prod(grid.shape))
-        pooled = grid.spectral_hessian(spec)
-        for a, b in ((sequential.bb, pooled.bb), (sequential.bf, pooled.bf),
-                     (sequential.ff, pooled.ff)):
+        monkeypatch.setitem(discretization._FFT_KW, "workers", 1)
+        one = grid.spectral_hessian(spec)
+        monkeypatch.setitem(discretization._FFT_KW, "workers", 2)
+        assert grid._workers == 2
+        two = grid.spectral_hessian(spec)
+        for a, b in ((one.bb, two.bb), (one.bf, two.bf), (one.ff, two.ff)):
             assert np.array_equal(a, b)
 
-    def test_import_and_octagon_run_start_no_thread(self):
-        # The torus pool starts on the first pooled batch, not before.
+    def test_no_krflow_call_starts_a_thread(self):
         src = os.path.dirname(os.path.dirname(oracle.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = (
@@ -409,14 +393,17 @@ class TestIrfftBatches:
             "print(threading.active_count())\n"
             "from krflow import discretization\n"
             "discretization._FFT_KW['workers'] = 2\n"
-            "krflow.SpectralGrid(8, 8).hessian(discretization.np.ones((8, 8, 8, 8)))\n"
+            "grid = krflow.SpectralGrid(8, 8)\n"
+            "grid.hessian(discretization.np.ones(grid.shape))\n"
+            "problem = krflow.FlowProblem(krflow.SurrogateGeometry(\n"
+            "    grid, krflow.GeometrySpec(psi0_preset='mixed')))\n"
+            "problem.run(krflow.FlowOptions(t_end=0.05, dt_max=0.025, sample_interval=0.05),\n"
+            "            sampler=krflow.MonitorEngine(problem).record)\n"
             "print(threading.active_count())\n"
         )
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=300)
-        counts = [int(x) for x in out.stdout.split()]
-        assert counts[:2] == [1, 1]
-        assert counts[2] > 1
+        assert [int(x) for x in out.stdout.split()] == [1, 1, 1]
 
 
 def whole_grid_fd4_hessian(grid, phi):

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from krflow import discretization, flow
+from krflow import flow
 from krflow.discretization import HermitianField, SpectralGrid
 from krflow.errors import NonFiniteValue, PositivityLost
 from krflow.flow import (
     FlowOptions,
     FlowProblem,
-    HomogeneousCoefficients,
     _Imex2Stepper,
-    homogeneous_potential,
     product_reduced_run,
     rk4_step,
     sample_times,
@@ -104,24 +102,12 @@ class TestRk4Step:
 
 
 class TestHomogeneous:
-    def test_coefficients_closed_form(self):
-        hc = HomogeneousCoefficients(a0=1.5, b0=2.0)
-        t = np.array([0.0, 1.0, 4.0])
-        assert np.allclose(hc.a(t), 1.0 + 0.5 * np.exp(-t))
-        assert np.allclose(hc.b(t), 2.0 * np.exp(-t))
-
-    def test_potential_integrator_matches_reference(self):
-        t_eval = np.array([0.5, 1.0, 2.0, 4.0])
-        ours = homogeneous_potential(1.3, t_eval)
-        ref = oracle.homogeneous_potential_oracle(1.3, t_eval)
-        assert np.max(np.abs(ours - ref)) < 1e-10
-
     def test_pde_mean_mode_tracks_scalar_equation(self):
         # On homogeneous data the PDE collapses to the scalar mean-mode
         # equation; the default stepper must stay homogeneous and converge
         # to the accurate scalar reference at its formal (second) order.
         p = problem(base_scale=1.3)
-        ref = homogeneous_potential(1.3, np.array([1.0]), dt=1e-5)[0]
+        ref = oracle.homogeneous_potential_oracle(1.3, np.array([1.0]))[0]
         errs = []
         for dt in (0.025, 0.0125, 0.00625):
             res = p.run(FlowOptions(t_end=1.0, dt_max=dt, sample_interval=0.5))
@@ -193,8 +179,6 @@ class TestRunMechanics:
         # bb, ff, Re bf, Im bf.  -inf in bb reaches its minimum; +inf in ff
         # keeps every minimum finite and shows in the transformed rhs; +inf
         # in Re bf drives det to -inf.  Each stops the run on that step.
-        # The call numbers assume the transforms run one after another.
-        monkeypatch.setitem(discretization._FFT_KW, "workers", 1)
         p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
         irfft_calls = {"n": 0}
         irfft = p.grid.irfft
