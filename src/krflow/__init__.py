@@ -45,7 +45,6 @@ from .flow import (
     FlowProblem,
     FlowResult,
     FlowState,
-    product_reduced_run,
 )
 from .geometry import (
     PSI0_PRESETS,
@@ -55,7 +54,7 @@ from .geometry import (
     VolumeDensity,
 )
 from .octagon import BolzaFlowResult, OctagonGrid, gauss_curvature, run_base_flow
-from .oracle import OracleReport, run_battery
+from .oracle import OracleReport, product_reduced_run, run_battery
 from .persistence import (
     read_monitor_csv,
     read_snapshot,

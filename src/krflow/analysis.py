@@ -37,10 +37,11 @@ into the orthonormal frame E = L^{-1}: holomorphic slots take E,
 antiholomorphic slots conj(E), since g^{-1} = E* E.  Each norm is then a
 plain sum of squared moduli, nonnegative by construction.
 
-A slow generic path using full complex transforms, stacked 2x2 tensors
-and einsum contractions against g^{-1} implements the same tensors
-independently.  It shares no contraction code with the engine and is kept
-as the reference the tests cross-check it against.
+A slow generic path in oracle.py (christoffel_deviation,
+curvature_squared, covariant_hessian_squared), using full complex
+transforms, stacked 2x2 tensors and einsum contractions against g^{-1},
+implements the same tensors independently.  It shares no contraction code
+with the engine and is the reference the tests cross-check it against.
 """
 
 from __future__ import annotations
@@ -54,220 +55,11 @@ from .discretization import (
     HermitianField,
     SpectralGrid,
     relative_eigen_bounds,
-    restrict_to_fiber,
     trace_with,
 )
 from .errors import ConfigInvalid, InsufficientSamples
-
-
-# -- stacked 2x2 helpers ---------------------------------------------------
-
-
-def _stack(g: HermitianField, shape) -> np.ndarray:
-    out = np.empty(shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = np.broadcast_to(g.bb, shape)
-    out[..., 0, 1] = np.broadcast_to(g.bf, shape)
-    out[..., 1, 0] = np.conj(out[..., 0, 1])
-    out[..., 1, 1] = np.broadcast_to(g.ff, shape)
-    return out
-
-
-def _stack_inv(g: HermitianField, shape) -> np.ndarray:
-    det = g.det()
-    inv = HermitianField(g.ff / det, -g.bf / det, g.bb / det)
-    return _stack(inv, shape)
-
-
-# -- tensor assembly (generic path) ----------------------------------------
-
-
-def _assemble_w(d_stack, g_stack, gamma):
-    """Covariant first derivative W[i,k,l] = d_i g_{k lbar} - corrections."""
-    w = d_stack.copy()
-    for l in range(2):
-        w[..., 0, 0, l] -= gamma * g_stack[..., 0, l]
-    return w
-
-
-def _assemble_t(dh, d_stack, w, g_stack, gamma, dgamma):
-    """Holomorphic second derivative T[i,j,k,l] = nabla~_i W[j,k,l]."""
-    t = np.empty(dh.shape[:-4] + (2, 2, 2, 2), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    val = dh[..., i, j, k, l].copy()
-                    if j == 0 and k == 0:
-                        # d_i of the correction term gamma * g_{0 lbar}
-                        if i == 0:
-                            val -= dgamma * g_stack[..., 0, l]
-                        val -= gamma * d_stack[..., i, 0, l]
-                    if i == 0 and j == 0:
-                        val -= gamma * w[..., 0, k, l]
-                    if i == 0 and k == 0:
-                        val -= gamma * w[..., j, 0, l]
-                    t[..., i, j, k, l] = val
-    return t
-
-
-def _assemble_m2(da, d_stack, w, g_stack, gamma, dgamma_a):
-    """Mixed second derivative M2[i,j,k,l] = nabla~_{ibar} W[j,k,l]."""
-    m = np.empty(da.shape[:-4] + (2, 2, 2, 2), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    val = da[..., i, j, k, l].copy()
-                    if j == 0 and k == 0:
-                        if i == 0:
-                            val -= dgamma_a * g_stack[..., 0, l]
-                        val -= gamma * np.conj(d_stack[..., i, l, 0])
-                    if i == 0 and l == 0:
-                        val -= np.conj(gamma) * w[..., j, k, 0]
-                    m[..., i, j, k, l] = val
-    return m
-
-
-def _contract_s(g_stack, ginv, w):
-    psi = np.einsum("...lp,...ikl->...pik", ginv, w, optimize=True)
-    s = np.einsum(
-        "...pik,...qjl,...ji,...lk,...pq->...",
-        psi,
-        np.conj(psi),
-        ginv,
-        ginv,
-        g_stack,
-        optimize=True,
-    )
-    return np.real(s), psi
-
-
-def _contract_rm2(ginv, d_stack, dd):
-    quad = np.einsum(
-        "...qp,...kiq,...ljp->...ijkl", ginv, d_stack, np.conj(d_stack), optimize=True
-    )
-    rm = quad - dd
-    rm2 = np.einsum(
-        "...ijkl,...abcd,...ai,...jb,...ck,...ld->...",
-        rm,
-        np.conj(rm),
-        ginv,
-        ginv,
-        ginv,
-        ginv,
-        optimize=True,
-    )
-    return np.real(rm2), rm
-
-
-def _contract_hh_norm(ginv, t):
-    out = np.einsum(
-        "...ijkl,...abcd,...ai,...bj,...ck,...ld->...",
-        t,
-        np.conj(t),
-        ginv,
-        ginv,
-        ginv,
-        ginv,
-        optimize=True,
-    )
-    return np.real(out)
-
-
-def _contract_ha_norm(ginv, m):
-    out = np.einsum(
-        "...ijkl,...abcd,...ia,...bj,...ck,...ld->...",
-        m,
-        np.conj(m),
-        ginv,
-        ginv,
-        ginv,
-        ginv,
-        optimize=True,
-    )
-    return np.real(out)
-
-
-# -- generic (slow, transform-per-derivative) tensor builders --------------
-
-
-def _generic_stacks(grid: SpectralGrid, g: HermitianField):
-    """D, DD, DH, DA stacks via full complex transforms of the g blocks."""
-    shape = grid.shape
-    g_stack = _stack(g, shape)
-    spec = [[grid.fft_c(g_stack[..., k, l]) for l in range(2)] for k in range(2)]
-    sh = grid.sym_full[("holo", "b")], grid.sym_full[("holo", "f")]
-    sa = grid.sym_full[("anti", "b")], grid.sym_full[("anti", "f")]
-
-    d = np.empty(shape + (2, 2, 2), dtype=np.complex128)
-    dd = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
-    dh = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
-    da = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
-    for i in range(2):
-        for q in range(2):
-            for m in range(2):
-                d[..., m, i, q] = grid.ifft_c(sh[m] * spec[i][q])
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    dd[..., i, j, k, l] = grid.ifft_c(sh[k] * sa[l] * spec[i][j])
-                    dh[..., i, j, k, l] = grid.ifft_c(sh[i] * sh[j] * spec[k][l])
-                    da[..., i, j, k, l] = grid.ifft_c(sa[i] * sh[j] * spec[k][l])
-    return g_stack, d, dd, dh, da
-
-
-def _gamma_tables(grid: SpectralGrid, gamma4: np.ndarray, dgamma_h=None, dgamma_a=None):
-    """gamma plus its holomorphic and antiholomorphic base derivatives.
-
-    Derivatives default to spectral differentiation of the supplied table;
-    callers holding exact (quotient-rule) tables pass them in instead.
-    """
-    g2 = gamma4[:, :, 0, 0]
-    if dgamma_h is None:
-        dgamma_h = grid.base_deriv(g2, "holo")[:, :, None, None]
-    if dgamma_a is None:
-        dgamma_a = grid.base_deriv(g2, "anti")[:, :, None, None]
-    return gamma4, dgamma_h, dgamma_a
-
-
-def christoffel_deviation(grid: SpectralGrid, g: HermitianField, gamma4: np.ndarray):
-    """Connection deviation tensor Psi and its squared norm field.
-
-    Generic-path implementation; returns (s_field, psi) with psi stacked as
-    [p, i, k] on the trailing axes.
-    """
-    g_stack, d, _, _, _ = _generic_stacks(grid, g)
-    ginv = _stack_inv(g, grid.shape)
-    gamma, _, _ = _gamma_tables(grid, gamma4)
-    w = _assemble_w(d, g_stack, gamma)
-    s, psi = _contract_s(g_stack, ginv, w)
-    return s, psi
-
-
-def curvature_squared(grid: SpectralGrid, g: HermitianField) -> np.ndarray:
-    """|Rm|^2 of the Chern curvature of g, generic path."""
-    _, d, dd, _, _ = _generic_stacks(grid, g)
-    ginv = _stack_inv(g, grid.shape)
-    rm2, _ = _contract_rm2(ginv, d, dd)
-    return rm2
-
-
-def covariant_hessian_squared(
-    grid: SpectralGrid,
-    g: HermitianField,
-    gamma4: np.ndarray,
-    dgamma_h=None,
-    dgamma_a=None,
-) -> np.ndarray:
-    """|nabla~^2 g|^2 over both derivative types, generic path."""
-    g_stack, d, _, dh, da = _generic_stacks(grid, g)
-    ginv = _stack_inv(g, grid.shape)
-    gamma, dg_h, dg_a = _gamma_tables(grid, gamma4, dgamma_h, dgamma_a)
-    w = _assemble_w(d, g_stack, gamma)
-    t = _assemble_t(dh, d, w, g_stack, gamma, dg_h)
-    m2 = _assemble_m2(da, d, w, g_stack, gamma, dg_a)
-    return 2.0 * (_contract_hh_norm(ginv, t) + _contract_ha_norm(ginv, m2))
+# Read by perfbench as analysis.<name> until ROADMAP item 1 imports them from oracle.
+from .oracle import christoffel_deviation, covariant_hessian_squared, curvature_squared
 
 
 # -- orthonormal frame (engine path) ---------------------------------------
@@ -377,10 +169,7 @@ class MonitorEngine:
             ib = (r * nb) // n_sample_fibers
             jb = (ib * 3 + r) % nb
             self.fiber_points.append((ib, jb))
-        self.rho_slices = [
-            restrict_to_fiber(geometry.flat_fiber.rho, grid, ib, jb).values
-            for ib, jb in self.fiber_points
-        ]
+        self.rho_slices = [geometry.flat_fiber.rho[ib, jb] for ib, jb in self.fiber_points]
         self.gflat_slices = [
             float(geometry.flat_fiber.g_flat[ib, jb, 0, 0]) for ib, jb in self.fiber_points
         ]
@@ -460,7 +249,7 @@ class MonitorEngine:
         """(s, rm2, grad2) on base slab ib from the derivative fields f.
 
         Tensors hold their components on leading axes of length 2, in the
-        index order of the generic path's stacked tensors.
+        index order of the stacked tensors of oracle.py's generic path.
         """
         key = self._key
         gamma, dgamma_h, dgamma_a = self.gamma[ib], self.dgamma_h[ib], self.dgamma_a[ib]

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import ConfigInvalid, OutOfDomain
+from .errors import ConfigInvalid
 
 
 def _usable_cpus() -> int:
@@ -128,15 +128,6 @@ def relative_eigen_bounds(g: HermitianField, ref: HermitianField):
 
 
 @dataclass
-class FiberSlice:
-    """A single fiber's worth of a field: base grid indices plus 2D values."""
-
-    ib: int
-    jb: int
-    values: np.ndarray
-
-
-@dataclass
 class SpectralGrid:
     """Fourier discretization data for the product torus.
 
@@ -188,16 +179,6 @@ class SpectralGrid:
         d = -0.5j / b
         return c, d
 
-    @cached_property
-    def _k4(self):
-        """Full-spectrum broadcastable wavenumber arrays (Nyquist-zeroed)."""
-        nb, nf = self.n_base, self.n_fiber
-        kx = _odd_wavenumbers(nb).reshape(nb, 1, 1, 1)
-        ky = _odd_wavenumbers(nb).reshape(1, nb, 1, 1)
-        ku = _odd_wavenumbers(nf).reshape(1, 1, nf, 1)
-        kv = _odd_wavenumbers(nf).reshape(1, 1, 1, nf)
-        return kx, ky, ku, kv
-
     def _first_symbols(self, kx, ky, ku, kv):
         c, d = self._fiber_coeffs
         s_b = 0.5 * (1j * kx + ky)
@@ -207,27 +188,14 @@ class SpectralGrid:
         return s_b, s_bbar, s_f, s_fbar
 
     @cached_property
-    def sym_full(self):
-        """dict of full-spectrum first-derivative symbols.
-
-        Keys: ('holo','b'), ('holo','f'), ('anti','b'), ('anti','f').
-        """
-        s_b, s_bbar, s_f, s_fbar = self._first_symbols(*self._k4)
-        return {
-            ("holo", "b"): s_b,
-            ("anti", "b"): s_bbar,
-            ("holo", "f"): s_f,
-            ("anti", "f"): s_fbar,
-        }
-
-    @cached_property
     def sym_half(self):
         """First-derivative symbols on the rfft half-spectrum.
 
-        Keys as in sym_full.  All four symbols are odd under k -> -k with
-        the Nyquist rows zeroed, so products of n of them are even/odd
-        according to the parity of n; consumers rely on this to split
-        complex-output operators into two real irfft passes.
+        Keys: ('holo','b'), ('holo','f'), ('anti','b'), ('anti','f').  All
+        four symbols are odd under k -> -k with the Nyquist rows zeroed, so
+        products of n of them are even/odd according to the parity of n;
+        consumers rely on this to split complex-output operators into two
+        real irfft passes.
         """
         nb, nf = self.n_base, self.n_fiber
         kx = _odd_wavenumbers(nb).reshape(nb, 1, 1, 1)
@@ -251,16 +219,11 @@ class SpectralGrid:
         so its real and imaginary parts are separately Hermitian-symmetric
         and each yields a real field under irfftn.
         """
-        nb, nf = self.n_base, self.n_fiber
-        kx = _odd_wavenumbers(nb).reshape(nb, 1, 1, 1)
-        ky = _odd_wavenumbers(nb).reshape(1, nb, 1, 1)
-        ku = _odd_wavenumbers(nf).reshape(1, 1, nf, 1)
-        kv = _odd_wavenumbers(nf)[: nf // 2 + 1].reshape(1, 1, 1, nf // 2 + 1)
-        s_b, s_bbar, s_f, s_fbar = self._first_symbols(kx, ky, ku, kv)
-        s_bf = s_b * s_fbar
+        sh = self.sym_half
+        s_bf = sh[("holo", "b")] * sh[("anti", "f")]
         return (
-            np.real(s_b * s_bbar),
-            np.real(s_f * s_fbar),
+            np.real(sh[("holo", "b")] * sh[("anti", "b")]),
+            np.real(sh[("holo", "f")] * sh[("anti", "f")]),
             np.real(s_bf),
             np.imag(s_bf),
         )
@@ -279,12 +242,6 @@ class SpectralGrid:
     def irfft(self, spec: np.ndarray) -> np.ndarray:
         return sfft.irfftn(spec, s=self.shape, workers=self._workers)
 
-    def fft_c(self, f: np.ndarray) -> np.ndarray:
-        return sfft.fftn(np.broadcast_to(f, self.shape), **_FFT_KW)
-
-    def ifft_c(self, spec: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(spec, **_FFT_KW)
-
     def hessian(self, phi: np.ndarray) -> HermitianField:
         """Mixed complex Hessian of a real field, as a HermitianField.
 
@@ -298,15 +255,6 @@ class SpectralGrid:
         bb, ff, re, im = [self.irfft(s * spec) for s in self._half_hessian_syms]
         return HermitianField(bb, re + 1j * im, ff)
 
-    def deriv(self, f: np.ndarray, kind: str, direction: str) -> np.ndarray:
-        """Complex derivative of a (possibly complex) field.
-
-        kind is 'holo' or 'anti'; direction is 'b' or 'f'.  Full complex
-        transform path — intended for analysis-time use, not the inner loop.
-        """
-        sym = self.sym_full[(kind, direction)]
-        return self.ifft_c(sym * self.fft_c(f))
-
     # -- fiber-only operators ---------------------------------------------
 
     @cached_property
@@ -314,9 +262,7 @@ class SpectralGrid:
         nf = self.n_fiber
         ku = _odd_wavenumbers(nf).reshape(nf, 1)
         kv = _odd_wavenumbers(nf).reshape(1, nf)
-        c, d = self._fiber_coeffs
-        s_f = c * (1j * ku) + d * (1j * kv)
-        s_fbar = np.conj(c) * (1j * ku) + np.conj(d) * (1j * kv)
+        _, _, s_f, s_fbar = self._first_symbols(0.0, 0.0, ku, kv)
         return s_f, s_fbar, np.real(s_f * s_fbar)
 
     def fiber_hessian(self, f2: np.ndarray) -> np.ndarray:
@@ -351,8 +297,7 @@ class SpectralGrid:
         nb = self.n_base
         kx = _odd_wavenumbers(nb).reshape(nb, 1)
         ky = _odd_wavenumbers(nb).reshape(1, nb)
-        s_b = 0.5 * (1j * kx + ky)
-        s_bbar = 0.5 * (1j * kx - ky)
+        s_b, s_bbar, _, _ = self._first_symbols(kx, ky, 0.0, 0.0)
         return s_b, s_bbar, np.real(s_b * s_bbar)
 
     def base_hessian(self, f2: np.ndarray) -> np.ndarray:
@@ -365,11 +310,3 @@ class SpectralGrid:
         sym = s_b if kind == "holo" else s_bbar
         return sfft.ifft2(sym * sfft.fft2(f2))
 
-
-def restrict_to_fiber(f: np.ndarray, grid: SpectralGrid, ib: int, jb: int) -> FiberSlice:
-    """Extract the fiber over base grid point (ib, jb) as a 2D field."""
-    nb = grid.n_base
-    if not (0 <= ib < nb and 0 <= jb < nb):
-        raise OutOfDomain(f"base index ({ib}, {jb}) outside grid of size {nb}")
-    vals = np.broadcast_to(f, grid.shape)[ib, jb]
-    return FiberSlice(ib, jb, np.ascontiguousarray(vals))

@@ -49,19 +49,8 @@ import numpy as np
 from .discretization import HermitianField, SpectralGrid, relative_eigen_bounds
 from .errors import ConfigInvalid, NonFiniteValue, NonPositiveDensity, PositivityLost
 from .geometry import SurrogateGeometry
-
-
-def rk4_step(f, t, y, h):
-    """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) by h.
-
-    The separable-product reference below uses it (the verification oracles
-    keep their own); `y` may be a float or an array.
-    """
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Read by perfbench as flow.product_reduced_run until ROADMAP item 1 imports it from oracle.
+from .oracle import product_reduced_run
 
 
 def sample_times(t_end: float, interval: float) -> list:
@@ -359,70 +348,3 @@ class FlowProblem:
             final_t=t,
             total_steps=steps,
         )
-
-
-# -- separable product reduction ------------------------------------------
-
-
-class _Reduced2D:
-    """Classical-RK4 integrator for one factor of a separable product run.
-
-    kind "base":  d(phi)/dt = log((a(t) chi + e^{-t} H psi_b + H phi)/chi) - phi
-    kind "fiber": d(phi)/dt = log((b0 g_E + H psi_f + e^{t} H phi)/(b0 g_E)) - phi
-
-    with H the factor's own 2D mixed Hessian.  Adding the two solutions
-    reproduces the 4D flow exactly for additively separable initial data.
-    """
-
-    def __init__(self, geometry: SurrogateGeometry, kind: str, psi2: np.ndarray):
-        self.grid = geometry.grid
-        self.kind = kind
-        self.geom = geometry
-        if kind == "base":
-            self.h_psi = self.grid.base_hessian(psi2)
-            self.a0 = geometry.spec.base_scale
-        else:
-            self.h_psi = self.grid.fiber_hessian(psi2)
-            self.b0 = geometry.spec.fiber_scale
-
-    def rhs(self, phi2, t):
-        if self.kind == "base":
-            num = (
-                (1.0 + (self.a0 - 1.0) * math.exp(-t)) * self.geom.chi2
-                + math.exp(-t) * self.h_psi
-                + self.grid.base_hessian(phi2)
-            )
-            den = self.geom.chi2
-        else:
-            g_e = self.geom.g_fiber * self.b0
-            num = g_e + self.h_psi + math.exp(t) * self.grid.fiber_hessian(phi2)
-            den = g_e
-        if np.min(num) <= 0.0:
-            raise PositivityLost(f"reduced {self.kind} factor degenerated at t={t:.6f}")
-        return np.log(num / den) - phi2
-
-    def run(self, t_end: float, dt: float) -> np.ndarray:
-        phi = np.zeros_like(self.h_psi)
-        t = 0.0
-        while t < t_end - 1e-12:
-            h = min(dt, t_end - t)
-            phi = rk4_step(lambda tt, p: self.rhs(p, tt), t, phi, h)
-            t += h
-        return phi
-
-
-def product_reduced_run(
-    geometry: SurrogateGeometry,
-    psi_base2: np.ndarray,
-    psi_fiber2: np.ndarray,
-    t_end: float,
-    dt: float = 2e-4,
-) -> np.ndarray:
-    """Evolve the two factors separately and return phi_b (+) phi_f as 4D.
-
-    Valid for initial potentials of the form psi_b(base) + psi_f(fiber);
-    the full solver must agree with this to discretization accuracy.
-    """
-    phi_b = _Reduced2D(geometry, "base", psi_base2).run(t_end, dt)
-    phi_f = _Reduced2D(geometry, "fiber", psi_fiber2).run(t_end, dt)
-    return phi_b[:, :, None, None] + phi_f[None, None, :, :]

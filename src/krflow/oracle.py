@@ -3,18 +3,24 @@
 Everything here is deliberately written against different machinery than the
 production code paths: second- and fourth-order roll stencils instead of
 spectral symbols, a dense assembled matrix instead of an FFT Poisson solve,
-and a generic adaptive ODE integrator instead of the PDE stepper.  Agreement
-between the two sides is what the test suite (and the `oracle-check` CLI
-subcommand) certifies.
+an adaptive ODE integrator and the RK4 separable product reference
+(product_reduced_run) instead of the PDE stepper, and the generic curvature
+path (christoffel_deviation, curvature_squared, covariant_hessian_squared)
+on full complex transforms (fft_c, ifft_c, sym_full, deriv) instead of the
+monitor engine.  Agreement between the two sides is what the test suite
+(and the `oracle-check` CLI subcommand) certifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
-from .discretization import HermitianField, SpectralGrid
+from .discretization import HermitianField, SpectralGrid, _odd_wavenumbers
+from .errors import PositivityLost
 
 
 def _roll_d1(f, axis, h):
@@ -264,6 +270,19 @@ def fd_gap_tolerance(n: int) -> float:
     return 8e-2 * (8.0 / n) ** 4 * 2.0
 
 
+def rk4_step(f, t, y, h):
+    """One classical Runge-Kutta step of dy/dt = f(t, y) from (t, y) by h.
+
+    The coefficient-closure oracle and the separable-product reference use
+    it; `y` may be a float or an array.
+    """
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def ode_coefficient_oracle(a0: float, b0: float, t_end: float = 5.0,
                            dt: float = 1e-3) -> OracleReport:
     """Coefficient closure of the product flow: a' = 1 - a, b' = -b.
@@ -277,19 +296,16 @@ def ode_coefficient_oracle(a0: float, b0: float, t_end: float = 5.0,
     a, b = float(a0), float(b0)
     t = 0.0
     worst = 0.0
+
+    def fa(_, av):
+        return 1.0 - av
+
+    def fb(_, bv):
+        return -bv
+
     for _ in range(steps):
-        def fa(av):
-            return 1.0 - av
-
-        def fb(bv):
-            return -bv
-
-        k1a, k1b = fa(a), fb(b)
-        k2a, k2b = fa(a + 0.5 * h * k1a), fb(b + 0.5 * h * k1b)
-        k3a, k3b = fa(a + 0.5 * h * k2a), fb(b + 0.5 * h * k2b)
-        k4a, k4b = fa(a + h * k3a), fb(b + h * k3b)
-        a += h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
-        b += h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0
+        a = rk4_step(fa, t, a, h)
+        b = rk4_step(fb, t, b, h)
         t += h
         ea = abs(a - (1.0 + (a0 - 1.0) * np.exp(-t)))
         eb = abs(b - b0 * np.exp(-t))
@@ -477,3 +493,306 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     reports.append(ode_coefficient_oracle(2.0, 3.0))
 
     return reports
+
+
+# -- generic curvature path: full-spectrum transforms, stacked 2x2 tensors -
+
+
+def sym_full(grid: SpectralGrid) -> dict:
+    """Full-spectrum first-derivative symbols, Nyquist-zeroed like sym_half.
+
+    Keys: ('holo','b'), ('holo','f'), ('anti','b'), ('anti','f').
+    """
+    nb, nf = grid.n_base, grid.n_fiber
+    kx = _odd_wavenumbers(nb).reshape(nb, 1, 1, 1)
+    ky = _odd_wavenumbers(nb).reshape(1, nb, 1, 1)
+    ku = _odd_wavenumbers(nf).reshape(1, 1, nf, 1)
+    kv = _odd_wavenumbers(nf).reshape(1, 1, 1, nf)
+    s_b, s_bbar, s_f, s_fbar = grid._first_symbols(kx, ky, ku, kv)
+    return {
+        ("holo", "b"): s_b,
+        ("anti", "b"): s_bbar,
+        ("holo", "f"): s_f,
+        ("anti", "f"): s_fbar,
+    }
+
+
+def fft_c(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    return sfft.fftn(np.broadcast_to(f, grid.shape), workers=grid._workers)
+
+
+def ifft_c(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
+    return sfft.ifftn(spec, workers=grid._workers)
+
+
+def deriv(grid: SpectralGrid, f: np.ndarray, kind: str, direction: str) -> np.ndarray:
+    """Complex derivative of f: kind 'holo' or 'anti', direction 'b' or 'f'."""
+    return ifft_c(grid, sym_full(grid)[(kind, direction)] * fft_c(grid, f))
+
+
+def _stack(g: HermitianField, shape) -> np.ndarray:
+    out = np.empty(shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = np.broadcast_to(g.bb, shape)
+    out[..., 0, 1] = np.broadcast_to(g.bf, shape)
+    out[..., 1, 0] = np.conj(out[..., 0, 1])
+    out[..., 1, 1] = np.broadcast_to(g.ff, shape)
+    return out
+
+
+def _stack_inv(g: HermitianField, shape) -> np.ndarray:
+    det = g.det()
+    inv = HermitianField(g.ff / det, -g.bf / det, g.bb / det)
+    return _stack(inv, shape)
+
+
+def _assemble_w(d_stack, g_stack, gamma):
+    """Covariant first derivative W[i,k,l] = d_i g_{k lbar} - corrections."""
+    w = d_stack.copy()
+    for l in range(2):
+        w[..., 0, 0, l] -= gamma * g_stack[..., 0, l]
+    return w
+
+
+def _assemble_t(dh, d_stack, w, g_stack, gamma, dgamma):
+    """Holomorphic second derivative T[i,j,k,l] = nabla~_i W[j,k,l]."""
+    t = np.empty(dh.shape[:-4] + (2, 2, 2, 2), dtype=np.complex128)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    val = dh[..., i, j, k, l].copy()
+                    if j == 0 and k == 0:
+                        # d_i of the correction term gamma * g_{0 lbar}
+                        if i == 0:
+                            val -= dgamma * g_stack[..., 0, l]
+                        val -= gamma * d_stack[..., i, 0, l]
+                    if i == 0 and j == 0:
+                        val -= gamma * w[..., 0, k, l]
+                    if i == 0 and k == 0:
+                        val -= gamma * w[..., j, 0, l]
+                    t[..., i, j, k, l] = val
+    return t
+
+
+def _assemble_m2(da, d_stack, w, g_stack, gamma, dgamma_a):
+    """Mixed second derivative M2[i,j,k,l] = nabla~_{ibar} W[j,k,l]."""
+    m = np.empty(da.shape[:-4] + (2, 2, 2, 2), dtype=np.complex128)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    val = da[..., i, j, k, l].copy()
+                    if j == 0 and k == 0:
+                        if i == 0:
+                            val -= dgamma_a * g_stack[..., 0, l]
+                        val -= gamma * np.conj(d_stack[..., i, l, 0])
+                    if i == 0 and l == 0:
+                        val -= np.conj(gamma) * w[..., j, k, 0]
+                    m[..., i, j, k, l] = val
+    return m
+
+
+def _contract_s(g_stack, ginv, w):
+    psi = np.einsum("...lp,...ikl->...pik", ginv, w, optimize=True)
+    s = np.einsum(
+        "...pik,...qjl,...ji,...lk,...pq->...",
+        psi,
+        np.conj(psi),
+        ginv,
+        ginv,
+        g_stack,
+        optimize=True,
+    )
+    return np.real(s), psi
+
+
+def _contract_rm2(ginv, d_stack, dd):
+    quad = np.einsum(
+        "...qp,...kiq,...ljp->...ijkl", ginv, d_stack, np.conj(d_stack), optimize=True
+    )
+    rm = quad - dd
+    rm2 = np.einsum(
+        "...ijkl,...abcd,...ai,...jb,...ck,...ld->...",
+        rm,
+        np.conj(rm),
+        ginv,
+        ginv,
+        ginv,
+        ginv,
+        optimize=True,
+    )
+    return np.real(rm2), rm
+
+
+def _contract_hh_norm(ginv, t):
+    out = np.einsum(
+        "...ijkl,...abcd,...ai,...bj,...ck,...ld->...",
+        t,
+        np.conj(t),
+        ginv,
+        ginv,
+        ginv,
+        ginv,
+        optimize=True,
+    )
+    return np.real(out)
+
+
+def _contract_ha_norm(ginv, m):
+    out = np.einsum(
+        "...ijkl,...abcd,...ia,...bj,...ck,...ld->...",
+        m,
+        np.conj(m),
+        ginv,
+        ginv,
+        ginv,
+        ginv,
+        optimize=True,
+    )
+    return np.real(out)
+
+
+def _generic_stacks(grid: SpectralGrid, g: HermitianField):
+    """D, DD, DH, DA stacks via full complex transforms of the g blocks."""
+    shape = grid.shape
+    g_stack = _stack(g, shape)
+    spec = [[fft_c(grid, g_stack[..., k, l]) for l in range(2)] for k in range(2)]
+    sym = sym_full(grid)
+    sh = sym[("holo", "b")], sym[("holo", "f")]
+    sa = sym[("anti", "b")], sym[("anti", "f")]
+
+    d = np.empty(shape + (2, 2, 2), dtype=np.complex128)
+    dd = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
+    dh = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
+    da = np.empty(shape + (2, 2, 2, 2), dtype=np.complex128)
+    for i in range(2):
+        for q in range(2):
+            for m in range(2):
+                d[..., m, i, q] = ifft_c(grid, sh[m] * spec[i][q])
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    dd[..., i, j, k, l] = ifft_c(grid, sh[k] * sa[l] * spec[i][j])
+                    dh[..., i, j, k, l] = ifft_c(grid, sh[i] * sh[j] * spec[k][l])
+                    da[..., i, j, k, l] = ifft_c(grid, sa[i] * sh[j] * spec[k][l])
+    return g_stack, d, dd, dh, da
+
+
+def _gamma_tables(grid: SpectralGrid, gamma4: np.ndarray, dgamma_h=None, dgamma_a=None):
+    """gamma plus its holomorphic and antiholomorphic base derivatives.
+
+    Derivatives default to spectral differentiation of the supplied table;
+    callers holding exact (quotient-rule) tables pass them in instead.
+    """
+    g2 = gamma4[:, :, 0, 0]
+    if dgamma_h is None:
+        dgamma_h = grid.base_deriv(g2, "holo")[:, :, None, None]
+    if dgamma_a is None:
+        dgamma_a = grid.base_deriv(g2, "anti")[:, :, None, None]
+    return gamma4, dgamma_h, dgamma_a
+
+
+def christoffel_deviation(grid: SpectralGrid, g: HermitianField, gamma4: np.ndarray):
+    """Connection deviation tensor Psi and its squared norm field.
+
+    Generic-path implementation; returns (s_field, psi) with psi stacked as
+    [p, i, k] on the trailing axes.
+    """
+    g_stack, d, _, _, _ = _generic_stacks(grid, g)
+    ginv = _stack_inv(g, grid.shape)
+    w = _assemble_w(d, g_stack, gamma4)
+    s, psi = _contract_s(g_stack, ginv, w)
+    return s, psi
+
+
+def curvature_squared(grid: SpectralGrid, g: HermitianField) -> np.ndarray:
+    """|Rm|^2 of the Chern curvature of g, generic path."""
+    _, d, dd, _, _ = _generic_stacks(grid, g)
+    ginv = _stack_inv(g, grid.shape)
+    rm2, _ = _contract_rm2(ginv, d, dd)
+    return rm2
+
+
+def covariant_hessian_squared(
+    grid: SpectralGrid,
+    g: HermitianField,
+    gamma4: np.ndarray,
+    dgamma_h=None,
+    dgamma_a=None,
+) -> np.ndarray:
+    """|nabla~^2 g|^2 over both derivative types, generic path."""
+    g_stack, d, _, dh, da = _generic_stacks(grid, g)
+    ginv = _stack_inv(g, grid.shape)
+    gamma, dg_h, dg_a = _gamma_tables(grid, gamma4, dgamma_h, dgamma_a)
+    w = _assemble_w(d, g_stack, gamma)
+    t = _assemble_t(dh, d, w, g_stack, gamma, dg_h)
+    m2 = _assemble_m2(da, d, w, g_stack, gamma, dg_a)
+    return 2.0 * (_contract_hh_norm(ginv, t) + _contract_ha_norm(ginv, m2))
+
+
+# -- separable product reduction ------------------------------------------
+
+
+class _Reduced2D:
+    """Classical-RK4 integrator for one factor of a separable product run.
+
+    kind "base":  d(phi)/dt = log((a(t) chi + e^{-t} H psi_b + H phi)/chi) - phi
+    kind "fiber": d(phi)/dt = log((b0 g_E + H psi_f + e^{t} H phi)/(b0 g_E)) - phi
+
+    with H the factor's own 2D mixed Hessian.  Adding the two solutions
+    reproduces the 4D flow exactly for additively separable initial data.
+    """
+
+    def __init__(self, geometry, kind: str, psi2: np.ndarray):
+        self.grid = geometry.grid
+        self.kind = kind
+        self.geom = geometry
+        if kind == "base":
+            self.h_psi = self.grid.base_hessian(psi2)
+            self.a0 = geometry.spec.base_scale
+        else:
+            self.h_psi = self.grid.fiber_hessian(psi2)
+            self.b0 = geometry.spec.fiber_scale
+
+    def rhs(self, phi2, t):
+        if self.kind == "base":
+            num = (
+                (1.0 + (self.a0 - 1.0) * math.exp(-t)) * self.geom.chi2
+                + math.exp(-t) * self.h_psi
+                + self.grid.base_hessian(phi2)
+            )
+            den = self.geom.chi2
+        else:
+            g_e = self.geom.g_fiber * self.b0
+            num = g_e + self.h_psi + math.exp(t) * self.grid.fiber_hessian(phi2)
+            den = g_e
+        if np.min(num) <= 0.0:
+            raise PositivityLost(f"reduced {self.kind} factor degenerated at t={t:.6f}")
+        return np.log(num / den) - phi2
+
+    def run(self, t_end: float, dt: float) -> np.ndarray:
+        phi = np.zeros_like(self.h_psi)
+        t = 0.0
+        while t < t_end - 1e-12:
+            h = min(dt, t_end - t)
+            phi = rk4_step(lambda tt, p: self.rhs(p, tt), t, phi, h)
+            t += h
+        return phi
+
+
+def product_reduced_run(
+    geometry,
+    psi_base2: np.ndarray,
+    psi_fiber2: np.ndarray,
+    t_end: float,
+    dt: float = 2e-4,
+) -> np.ndarray:
+    """Evolve the two factors separately and return phi_b (+) phi_f as 4D.
+
+    Valid for initial potentials of the form psi_b(base) + psi_f(fiber);
+    the full solver must agree with this to discretization accuracy.
+    """
+    phi_b = _Reduced2D(geometry, "base", psi_base2).run(t_end, dt)
+    phi_f = _Reduced2D(geometry, "fiber", psi_fiber2).run(t_end, dt)
+    return phi_b[:, :, None, None] + phi_f[None, None, :, :]

@@ -5,14 +5,12 @@ import re
 import numpy as np
 import pytest
 
+from krflow import analysis, discretization, flow, oracle
 from krflow.analysis import (
     BOUNDED_MONITOR_FIELDS,
     MonitorEngine,
     MonitorRecord,
     bounded_monitor_check,
-    christoffel_deviation,
-    covariant_hessian_squared,
-    curvature_squared,
     decay_fit,
     drift_stats,
     fiber_flatness_rates,
@@ -22,6 +20,7 @@ from krflow.discretization import HermitianField, SpectralGrid
 from krflow.errors import ConfigInvalid, InsufficientSamples
 from krflow.flow import FlowOptions, FlowProblem
 from krflow.geometry import GeometrySpec, SurrogateGeometry
+from krflow.oracle import christoffel_deviation, covariant_hessian_squared, curvature_squared
 
 
 def make_problem(n=16, **kw):
@@ -42,26 +41,56 @@ def blank_record(t, **kw):
     return MonitorRecord(**vals)
 
 
+def test_reference_code_lives_in_oracle():
+    for name in ("fft_c", "ifft_c", "deriv", "sym_full"):
+        assert not hasattr(SpectralGrid, name), name
+    assert not hasattr(flow, "rk4_step") and not hasattr(flow, "_Reduced2D")
+    # perfbench still looks these up on their old modules.
+    for module, name in ((analysis, "christoffel_deviation"), (analysis, "curvature_squared"),
+                         (analysis, "covariant_hessian_squared"), (flow, "product_reduced_run")):
+        assert getattr(module, name) is getattr(oracle, name), name
+
+
 class TestEngineVsGeneric:
-    def test_curvature_fields_match_generic_path(self):
+    @staticmethod
+    def _input():
         grid, geom, prob = make_problem(
             base_scale=1.3, fiber_scale=1.5, psi0_preset="mixed",
             psi0_amplitude=0.03)
         x, _, u, _ = grid.coords
         phi = np.ascontiguousarray(np.broadcast_to(
             0.01 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * u), grid.shape))
-        t = 0.7
-        g = prob.metric(phi, t)
-        eng = MonitorEngine(prob)
-        s_f, rm2_f, grad2_f = eng.curvature_fields(t, phi, g)
+        return grid, geom, phi, prob.metric(phi, 0.7), MonitorEngine(prob)
 
+    @staticmethod
+    def _generic(grid, geom, g, eng):
         s_g, _ = christoffel_deviation(grid, g, geom.gamma_b)
         rm2_g = curvature_squared(grid, g)
         grad2_g = covariant_hessian_squared(
             grid, g, geom.gamma_b, eng.dgamma_h, eng.dgamma_a)
+        return s_g, rm2_g, grad2_g
+
+    def test_curvature_fields_match_generic_path(self):
+        grid, geom, phi, g, eng = self._input()
+        s_f, rm2_f, grad2_f = eng.curvature_fields(0.7, phi, g)
+        s_g, rm2_g, grad2_g = self._generic(grid, geom, g, eng)
         assert rel_gap(s_f, s_g) < 1e-10
         assert rel_gap(rm2_f, rm2_g) < 1e-10
         assert rel_gap(grad2_f, grad2_g) < 1e-10
+
+    def test_generic_path_identical_across_worker_counts(self, monkeypatch):
+        # The full-spectrum transforms follow the grid's worker rule: one
+        # worker at 16^4.  Splitting them across workers, as every grid did
+        # before that rule, must give the same fields bit for bit.
+        grid, geom, _, g, eng = self._input()
+        assert grid._workers == 1
+        shipped = self._generic(grid, geom, g, eng)
+        monkeypatch.setattr(discretization, "_ONE_WORKER_MAX_POINTS", 0)
+        monkeypatch.setitem(discretization._FFT_KW, "workers",
+                            max(2, discretization._FFT_KW["workers"]))
+        assert grid._workers >= 2
+        for split, one in zip(self._generic(grid, geom, g, eng), shipped):
+            assert np.array_equal(split, one)
 
     def test_strongly_off_diagonal_metric_matches_generic_path(self):
         # A base-fiber cross mode makes |g_bf|^2 / (g_bb g_ff) large, so the

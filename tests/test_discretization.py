@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 
 from krflow.discretization import (
-    FiberSlice,
     HermitianField,
     SpectralGrid,
     relative_eigen_bounds,
-    restrict_to_fiber,
     trace_with,
     wedge_density,
 )
 from krflow import discretization
 from krflow.analysis import MonitorEngine
-from krflow.errors import ConfigInvalid, OutOfDomain
+from krflow.errors import ConfigInvalid
 from krflow.flow import FlowOptions, FlowProblem
 from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow import oracle
+from krflow.oracle import deriv
 
 TP = 2.0 * np.pi
 PI2 = np.pi * np.pi
@@ -123,9 +122,9 @@ class TestHessianStructure:
         grid = SpectralGrid(16, 16, tau=0.4 + 1.1j)
         phi = band_limited_field(grid, seed=11)
         h = grid.hessian(phi)
-        bb = grid.deriv(grid.deriv(phi, "holo", "b"), "anti", "b")
-        ff = grid.deriv(grid.deriv(phi, "holo", "f"), "anti", "f")
-        bf = grid.deriv(grid.deriv(phi, "anti", "f"), "holo", "b")
+        bb = deriv(grid, deriv(grid, phi, "holo", "b"), "anti", "b")
+        ff = deriv(grid, deriv(grid, phi, "holo", "f"), "anti", "f")
+        bf = deriv(grid, deriv(grid, phi, "anti", "f"), "holo", "b")
         assert np.max(np.abs(h.bb - bb)) < 1e-11
         assert np.max(np.abs(h.ff - ff)) < 1e-11
         assert np.max(np.abs(h.bf - bf)) < 1e-11
@@ -234,22 +233,6 @@ class TestFiberOps:
         assert abs(psi.mean()) < 1e-14
         res = grid.fiber_hessian(psi) - (rhs - rhs.mean())
         assert np.max(np.abs(res)) < 1e-12
-
-    def test_restrict_to_fiber(self):
-        grid = SpectralGrid(8, 8)
-        f = band_limited_field(grid, seed=5)
-        sl = restrict_to_fiber(f, grid, 3, 6)
-        assert isinstance(sl, FiberSlice)
-        assert np.array_equal(sl.values, f[3, 6])
-        with pytest.raises(OutOfDomain):
-            restrict_to_fiber(f, grid, 8, 0)
-
-    def test_restrict_broadcastable_input(self):
-        grid = SpectralGrid(8, 8)
-        base_only = np.cos(TP * np.arange(8) / 8.0)[:, None, None, None] * np.ones((1, 8, 1, 1))
-        sl = restrict_to_fiber(base_only, grid, 2, 1)
-        assert sl.values.shape == (8, 8)
-        assert np.allclose(sl.values, np.cos(TP * 2 / 8.0))
 
 
 class TestOracleBattery:

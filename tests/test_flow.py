@@ -10,12 +10,11 @@ from krflow.flow import (
     FlowOptions,
     FlowProblem,
     _Imex2Stepper,
-    product_reduced_run,
-    rk4_step,
     sample_times,
 )
 from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow import oracle
+from krflow.oracle import product_reduced_run, rk4_step
 
 TP = 2.0 * np.pi
 

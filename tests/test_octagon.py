@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from krflow.errors import ConfigInvalid, NonFiniteValue
-from krflow.flow import rk4_step
+from krflow.oracle import rk4_step
 from krflow.octagon import (
     ALPHA,
     BETAS,
