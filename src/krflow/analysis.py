@@ -142,7 +142,6 @@ class MonitorEngine:
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
-        self.problem = problem
         geometry = problem.geometry
         grid: SpectralGrid = geometry.grid
         self.grid = grid
@@ -300,7 +299,7 @@ class MonitorEngine:
         rm -= dd
         return _sum_sq(w, 3), _sum_sq(rm, 4), 2.0 * (_sum_sq(t, 4) + _sum_sq(m2, 4))
 
-    def record(self, problem, t: float, phi: np.ndarray, rhs: np.ndarray,
+    def record(self, t: float, phi: np.ndarray, rhs: np.ndarray,
                g: HermitianField) -> MonitorRecord:
         grid = self.grid
         geom = self.geometry
@@ -359,20 +358,20 @@ class MonitorEngine:
 # -- decay fitting ---------------------------------------------------------
 
 
-def log_slope_fit(times, values, t_min: float, t_max: float, min_points: int = 4):
+def log_slope_fit(times, values, t_min: float, t_max: float):
     """Least-squares slope of log(value) against t on [t_min, t_max].
 
     Returns (slope, intercept, n_points).  Non-positive values cannot enter
-    the log and are dropped; fewer than `min_points` surviving points raises
+    the log and are dropped; fewer than 4 surviving points raises
     InsufficientSamples.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = (times >= t_min - 1e-12) & (times <= t_max + 1e-12) & (values > 0.0)
     tt, vv = times[keep], np.log(values[keep])
-    if tt.size < min_points:
+    if tt.size < 4:
         raise InsufficientSamples(
-            f"need at least {min_points} positive samples in "
+            f"need at least 4 positive samples in "
             f"[{t_min}, {t_max}], got {tt.size}"
         )
     coeffs = np.polyfit(tt, vv, 1)
@@ -383,22 +382,20 @@ def log_slope_fit(times, values, t_min: float, t_max: float, min_points: int = 4
 class DecayFit:
     """Envelope fit of a sup|phi| series against C (1 + t) e^{-t}."""
 
-    t0: float
-    t1: float
     constant: float       # max over the window of value / ((1+t) e^{-t})
     log_slope: float      # least-squares slope of log(value); nan if all zero
     ratio_min: float
     ratio_max: float
     passed: bool          # constant finite and ratio_max / ratio_min <= 4
-    n_points: int
 
 
-def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0,
-              ratio_bound: float = 4.0) -> DecayFit:
+def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0) -> DecayFit:
     """Fit a monitor series against the decaying envelope (1 + t) e^{-t}.
 
     The window must satisfy t_max > t_min >= 1 and contain at least 20
-    samples (InsufficientSamples otherwise).  A series that is identically
+    samples (InsufficientSamples otherwise).  The fit passes when the
+    constant is finite and the ratios value / envelope of the positive
+    samples spread by at most a factor of 4.  A series that is identically
     zero on the window passes trivially with constant 0.  The fit is
     scale-equivariant: scaling the series scales `constant` and leaves the
     ratio spread and the pass flag unchanged.
@@ -420,8 +417,7 @@ def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0,
     constant = float(np.max(ratios))
     if np.all(vv <= 0.0):
         # Nothing decaying to rate-fit; the envelope bound holds trivially.
-        return DecayFit(t_min, t_max, constant, float("nan"),
-                        0.0, 0.0, True, int(tt.size))
+        return DecayFit(constant, float("nan"), 0.0, 0.0, True)
     try:
         slope, _, _ = log_slope_fit(tt, vv, t_min, t_max)
     except InsufficientSamples:
@@ -429,9 +425,8 @@ def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0,
     pos = ratios[vv > 0.0]
     ratio_min = float(np.min(pos))
     ratio_max = float(np.max(pos))
-    passed = bool(np.isfinite(constant) and ratio_max <= ratio_bound * ratio_min)
-    return DecayFit(t_min, t_max, constant, slope, ratio_min, ratio_max,
-                    passed, int(tt.size))
+    passed = bool(np.isfinite(constant) and ratio_max <= 4.0 * ratio_min)
+    return DecayFit(constant, slope, ratio_min, ratio_max, passed)
 
 
 def fiber_flatness_rates(records, t_min: float = 2.0, t_max: float = 6.0) -> float:
@@ -476,30 +471,28 @@ BOUNDED_MONITOR_FIELDS = (
 )
 
 
-def bounded_monitor_check(records, fields=BOUNDED_MONITOR_FIELDS,
-                          factor: float = 2.0, split_t: float = 1.0,
-                          atol: float = 1e-12):
-    """No-blow-up property: late maxima at most `factor` times early maxima.
+def bounded_monitor_check(records):
+    """No-blow-up property: late maxima at most twice the early maxima.
 
-    For each field the max over t <= split_t is compared against the max
-    over t >= split_t; reciprocal-type fields (vol_ratio_min) are inverted
-    first.  Returns ({field: (early, late, ok)}, all_ok).
+    For each of BOUNDED_MONITOR_FIELDS the max over t >= 1 may be at most
+    2 times the max over t <= 1, plus 1e-12; vol_ratio_min, which guards
+    collapse, is inverted first.  Returns ({field: (early, late, ok)}, all_ok).
     """
-    early = [r for r in records if r.t <= split_t + 1e-12]
-    late = [r for r in records if r.t >= split_t - 1e-12]
+    early = [r for r in records if r.t <= 1.0 + 1e-12]
+    late = [r for r in records if r.t >= 1.0 - 1e-12]
     if not early or not late:
         raise InsufficientSamples(
-            f"need samples on both sides of t = {split_t} for the bound check"
+            "need samples on both sides of t = 1.0 for the bound check"
         )
     results = {}
     all_ok = True
-    for name in fields:
+    for name in BOUNDED_MONITOR_FIELDS:
         def pick(rec):
             v = getattr(rec, name)
             return 1.0 / v if name == "vol_ratio_min" else v
         e = max(pick(r) for r in early)
         l = max(pick(r) for r in late)
-        ok = l <= factor * e + atol
+        ok = l <= 2.0 * e + 1e-12
         results[name] = (e, l, ok)
         all_ok = all_ok and ok
     return results, all_ok

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .discretization import SpectralGrid
 from .errors import ConfigInvalid, InsufficientSamples, KrflowError
 from .flow import FlowOptions, FlowProblem
 from .geometry import PSI0_PRESETS, GeometrySpec, SurrogateGeometry
+from .octagon import OctagonGrid, run_base_flow
 from .oracle import fold_oracle, run_battery, stationarity_oracle
 from .persistence import (
     read_monitor_csv,
@@ -176,7 +178,8 @@ def _validate(cfg: RunConfig) -> None:
     # errors (levels, scales, grid sizes, dt) with their own messages.
     cfg.geometry_spec()
     cfg.flow_options()
-    cfg.grid()
+    if g["base_backend"] == "torus_surrogate":  # the octagon mesh checks n >= 48
+        cfg.grid()
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -232,12 +235,7 @@ def _record_invariants_ok(records) -> bool:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir, quiet: bool = False, seed=None) -> int:
-    import os
-
-    backend = cfg[("geometry", "base_backend")]
-    if backend == "bolza_octagon":
-        from .octagon import run_octagon_simulation
-
+    if cfg[("geometry", "base_backend")] == "bolza_octagon":
         return run_octagon_simulation(cfg, out_dir, quiet=quiet)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -291,6 +289,42 @@ def cmd_simulate(cfg: RunConfig, out_dir, quiet: bool = False, seed=None) -> int
     return 0
 
 
+def run_octagon_simulation(cfg: RunConfig, out_dir, quiet: bool = False) -> int:
+    """`simulate` on the hyperbolic-base backend.
+
+    The base-only run has no fiber, so it emits its own artifact pair
+    (series CSV plus key = value summary) instead of the bundle monitor
+    table.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    grid = OctagonGrid(n=cfg[("geometry", "base_grid")])
+    result = run_base_flow(grid, t_end=cfg[("flow", "t_end")],
+                           sample_interval=cfg[("flow", "dt_sample")])
+
+    with open(os.path.join(out_dir, "octagon_series.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "sup_phi", "rel_dev"])
+        for t, s, d in zip(result.ts, result.sup_phi, result.rel_dev):
+            writer.writerow([f"{t:.17g}", f"{s:.17g}", f"{d:.17g}"])
+    write_summary(
+        os.path.join(out_dir, "octagon_summary.txt"),
+        {
+            "mesh_points_per_axis": grid.n,
+            "final_t": result.ts[-1] if result.ts else 0.0,
+            "total_steps": result.total_steps,
+            "rhs_evals": result.rhs_evals,
+            "final_sup_phi": result.sup_phi[-1] if result.sup_phi else float("nan"),
+            "final_rel_dev": result.final_rel_dev,
+            "curvature_mean": result.curvature_mean,
+            "curvature_spread": result.curvature_spread,
+        },
+    )
+    _emit(quiet, f"octagon run: {result.total_steps} steps, final rel dev "
+          f"{result.final_rel_dev:.3e}, curvature {result.curvature_mean:.6f} "
+          f"+/- {result.curvature_spread:.2e}")
+    return 0
+
+
 def _analysis_summary(cfg: RunConfig, records) -> dict:
     ts = [r.t for r in records]
     sup = [r.sup_phi for r in records]
@@ -323,8 +357,7 @@ def _analysis_summary(cfg: RunConfig, records) -> dict:
     return out
 
 
-def cmd_oracle_check(cfg: RunConfig, quiet: bool = False, seed=None,
-                     omega_scale: float = 1.0) -> int:
+def cmd_oracle_check(cfg: RunConfig, seed=None, omega_scale: float = 1.0) -> int:
     grid = cfg.grid()
     geometry = SurrogateGeometry(grid, cfg.geometry_spec())
     reports = _preflight(cfg, geometry, seed, density_scale=omega_scale)
@@ -336,7 +369,7 @@ def cmd_oracle_check(cfg: RunConfig, quiet: bool = False, seed=None,
     return 0
 
 
-def cmd_fit(cfg: RunConfig, csv_path, quiet: bool = False) -> int:
+def cmd_fit(cfg: RunConfig, csv_path) -> int:
     records = read_monitor_csv(csv_path)
     summary = _analysis_summary(cfg, records)
     for key, value in summary.items():
@@ -373,9 +406,9 @@ def main(argv=None) -> int:
             out_dir = args.out or cfg[("output", "directory")]
             return cmd_simulate(cfg, out_dir, quiet=args.quiet, seed=args.seed)
         if args.command == "oracle-check":
-            return cmd_oracle_check(cfg, quiet=args.quiet, seed=args.seed,
+            return cmd_oracle_check(cfg, seed=args.seed,
                                     omega_scale=args.inject_omega_scale)
-        return cmd_fit(cfg, args.csv, quiet=args.quiet)
+        return cmd_fit(cfg, args.csv)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

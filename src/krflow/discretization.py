@@ -96,9 +96,6 @@ class HermitianField:
     def det(self) -> np.ndarray:
         return self.bb * self.ff - np.abs(self.bf) ** 2
 
-    def copy(self) -> "HermitianField":
-        return HermitianField(self.bb.copy(), self.bf.copy(), self.ff.copy())
-
 
 def wedge_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """Top-degree coefficient of the wedge a ^ b, as a real field.

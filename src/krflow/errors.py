@@ -42,4 +42,4 @@ class InsufficientSamples(KrflowError):
 
 
 class SnapshotCorrupt(KrflowError):
-    """A snapshot file failed its magic, version, size, or dimension checks."""
+    """A snapshot or monitor CSV failed its format checks (magic, size, header, cells)."""

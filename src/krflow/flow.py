@@ -278,7 +278,7 @@ class FlowProblem:
         t_end itself (see sample_times), and on any snapshot times; each
         interval between these events is split into equal steps of at most
         dt_max, and the run never passes t_end.  `sampler`, if given, is
-        called as sampler(problem, t, phi, rhs, g) at each sample time and
+        called as sampler(t, phi, rhs, g) at each sample time and
         its return value collected into result.records.
         """
         phi = np.zeros(self.grid.shape)
@@ -310,7 +310,7 @@ class FlowProblem:
                               eig_min, eig_max, steps)
                 )
                 if sampler is not None:
-                    records.append(sampler(self, tt, cur_phi, rhs, g))
+                    records.append(sampler(tt, cur_phi, rhs, g))
             if round(tt, 12) in snapshot_set:
                 snapshots[tt] = cur_phi
             return cur_phi

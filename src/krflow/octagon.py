@@ -105,16 +105,17 @@ def in_octagon(z, tol: float = 1e-12):
     return np.min(side_excess(z), axis=-1) >= -tol
 
 
-def reduce_to_fundamental(z: complex, max_steps: int = 64):
+def reduce_to_fundamental(z: complex):
     """Fold a disk point into the fundamental octagon through the group.
 
     Repeatedly applies the inverse of the most violated side pairing; each
     application strictly decreases the hyperbolic distance to the origin,
-    so the loop terminates for any interior point of the disk.
+    so the loop terminates for any interior point of the disk.  A point
+    that needs more than 64 folds raises OutOfDomain.
     """
     if abs(z) >= 1.0:
         raise OutOfDomain(f"point {z} is not in the open unit disk")
-    for _ in range(max_steps):
+    for _ in range(64):
         exc = side_excess(z)
         k = int(np.argmin(exc))
         if exc[k] >= -1e-12:
@@ -206,7 +207,7 @@ def origin_orbit(cosh_cut: float = _ORBIT_COSH_CUT, max_depth: int = _ORBIT_DEPT
 class OctagonGrid:
     """Cartesian mesh over the fundamental octagon with group-closed ghosts.
 
-    The box spans the octagon plus `margin` cells on every side.  Interior
+    The box spans the octagon plus five cells on every side.  Interior
     points carry unknowns; exterior points within stencil reach are ghosts
     whose values are linear in the interior values (fold through the group,
     quintic read-off).  The ghost-on-ghost couplings are eliminated by a
@@ -214,17 +215,17 @@ class OctagonGrid:
     order in a single application.
     """
 
-    def __init__(self, n: int = 64, margin: int = 5):
+    def __init__(self, n: int = 64):
         if n < 48:
             # below this the quintic windows through the acute vertex caps
             # turn extrapolative enough to destabilize the ghost closure
             raise ConfigInvalid(f"octagon mesh needs n >= 48, got {n}")
         self.n = int(n)
-        self.margin = int(margin)
+        margin = 5
         r_v = vertex_radius()
         # h solves half = r_v + margin * h with half = (n - 1) h / 2
-        self.h = 2.0 * r_v / (self.n - 1 - 2 * self.margin)
-        self.half = r_v + self.margin * self.h
+        self.h = 2.0 * r_v / (self.n - 1 - 2 * margin)
+        self.half = r_v + margin * self.h
         axis = np.linspace(-self.half, self.half, self.n)
         self._axis = axis
         self.z = axis[:, None] + 1j * axis[None, :]
@@ -372,9 +373,9 @@ class OctagonGrid:
         out.reshape(-1)[self.interior_flat] = self._dd_op @ field.reshape(-1)
         return out
 
-    def invariant_bump(self, eps: float = 0.2) -> np.ndarray:
-        """Smooth pairing-invariant field built from exp(1 - cosh d) sources
-        placed on the orbit of the origin (see origin_orbit for the
+    def invariant_bump(self) -> np.ndarray:
+        """Smooth pairing-invariant field: 0.2 times a sum of exp(1 - cosh d)
+        sources placed on the orbit of the origin (see origin_orbit for the
         truncation guarantee)."""
         out = np.zeros((self.n, self.n))
         safe = np.abs(self.z) < 0.999
@@ -382,7 +383,7 @@ class OctagonGrid:
         total = np.zeros(zs.shape)
         for w in origin_orbit():
             total += np.exp(1.0 - _cosh_dist(zs, w))
-        out[safe] = eps * total
+        out[safe] = 0.2 * total
         return out
 
 
@@ -582,48 +583,3 @@ def run_base_flow(
     result.curvature_mean = float(np.mean(k_int))
     result.curvature_spread = float(np.max(np.abs(k_int - result.curvature_mean)))
     return result
-
-
-def run_octagon_simulation(cfg, out_dir, quiet: bool = False) -> int:
-    """CLI entry for the hyperbolic-base backend.
-
-    The base-only run has no fiber, so it emits its own artifact pair
-    (series CSV plus key = value summary) instead of the bundle monitor
-    table.
-    """
-    import csv
-    import os
-
-    from .persistence import write_summary
-
-    os.makedirs(out_dir, exist_ok=True)
-    n = cfg[("geometry", "base_grid")]
-    grid = OctagonGrid(n=n)
-    t_end = cfg[("flow", "t_end")]
-    result = run_base_flow(grid, t_end=t_end, sample_interval=cfg[("flow", "dt_sample")])
-
-    with open(os.path.join(out_dir, "octagon_series.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sup_phi", "rel_dev"])
-        for t, s, d in zip(result.ts, result.sup_phi, result.rel_dev):
-            writer.writerow([f"{t:.17g}", f"{s:.17g}", f"{d:.17g}"])
-    write_summary(
-        os.path.join(out_dir, "octagon_summary.txt"),
-        {
-            "mesh_points_per_axis": grid.n,
-            "final_t": result.ts[-1] if result.ts else 0.0,
-            "total_steps": result.total_steps,
-            "rhs_evals": result.rhs_evals,
-            "final_sup_phi": result.sup_phi[-1] if result.sup_phi else float("nan"),
-            "final_rel_dev": result.final_rel_dev,
-            "curvature_mean": result.curvature_mean,
-            "curvature_spread": result.curvature_spread,
-        },
-    )
-    if not quiet:
-        print(
-            f"octagon run: {result.total_steps} steps, final rel dev "
-            f"{result.final_rel_dev:.3e}, curvature {result.curvature_mean:.6f} "
-            f"+/- {result.curvature_spread:.2e}"
-        )
-    return 0

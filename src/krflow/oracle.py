@@ -222,9 +222,9 @@ def homogeneous_potential_oracle(a0: float, t_eval: np.ndarray) -> np.ndarray:
     return sol.y[0]
 
 
-def refinement_order(err_coarse: float, err_fine: float, ratio: float = 2.0) -> float:
-    """Observed convergence order from errors at two resolutions."""
-    return float(np.log(err_coarse / err_fine) / np.log(ratio))
+def refinement_order(err_coarse: float, err_fine: float) -> float:
+    """Observed convergence order from errors at resolutions n and 2n."""
+    return float(np.log(err_coarse / err_fine) / np.log(2.0))
 
 
 @dataclass
@@ -283,15 +283,15 @@ def rk4_step(f, t, y, h):
     return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def ode_coefficient_oracle(a0: float, b0: float, t_end: float = 5.0,
-                           dt: float = 1e-3) -> OracleReport:
+def ode_coefficient_oracle(a0: float, b0: float) -> OracleReport:
     """Coefficient closure of the product flow: a' = 1 - a, b' = -b.
 
-    Integrates with fixed-step classical RK4 and compares the trajectory
-    against the closed forms a(t) = 1 + (a0-1) e^{-t}, b(t) = b0 e^{-t};
-    this pair is the reference for homogeneous PDE runs.
+    Integrates to t = 5 with 5000 fixed steps of classical RK4 and compares
+    the trajectory against the closed forms a(t) = 1 + (a0-1) e^{-t},
+    b(t) = b0 e^{-t}; this pair is the reference for homogeneous PDE runs.
     """
-    steps = max(1, int(round(t_end / dt)))
+    t_end = 5.0
+    steps = 5000
     h = t_end / steps
     a, b = float(a0), float(b0)
     t = 0.0
@@ -319,11 +319,10 @@ def ode_coefficient_oracle(a0: float, b0: float, t_end: float = 5.0,
     )
 
 
-def stationarity_oracle(geometry, density_scale: float = 1.0,
-                        ts=(0.0, 1.0, 5.0)) -> OracleReport:
+def stationarity_oracle(geometry, density_scale: float = 1.0) -> OracleReport:
     """The unperturbed reference family must be an exact fixed point.
 
-    Checks max |rhs(phi=0, t)| over the given times for the canonical
+    Checks max |rhs(phi=0, t)| at t = 0, 1 and 5 for the canonical
     initial form on the supplied geometry's grid (unit scales, no
     potential).  `density_scale` deliberately corrupts the volume density;
     a scale of s must shift the residual to |log s| — used as a fault
@@ -340,7 +339,7 @@ def stationarity_oracle(geometry, density_scale: float = 1.0,
     problem = FlowProblem(twin, omega_density=density_scale * twin.volume.density)
     zeros = np.zeros(twin.grid.shape)
     devs = []
-    for t in ts:
+    for t in (0.0, 1.0, 5.0):
         rhs, _ = problem.rhs(zeros, t)
         devs.append(float(np.max(np.abs(rhs))))
     worst = max(devs)

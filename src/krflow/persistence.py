@@ -45,15 +45,25 @@ def write_monitor_csv(path, records) -> None:
 
 
 def read_monitor_csv(path):
-    """Parse a monitor CSV back into records, bit-identical to what was written."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != MonitorRecord.field_names():
-            raise SnapshotCorrupt(
-                f"monitor CSV header mismatch: {header[:3]}..."
-            )
-        return [MonitorRecord(*(float(v) for v in row)) for row in reader]
+    """Parse a monitor CSV back into records, bit-identical to what was written.
+
+    An unreadable file, a wrong header, a row of the wrong length or a cell
+    that is not a number raises SnapshotCorrupt.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header != MonitorRecord.field_names():
+                raise SnapshotCorrupt(
+                    f"monitor CSV header mismatch: {header[:3]}..."
+                )
+            return [MonitorRecord(*(float(v) for v in row)) for row in reader]
+    except OSError as exc:
+        raise SnapshotCorrupt(f"cannot read monitor CSV: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        # TypeError: a row of the wrong length; ValueError: a non-numeric cell
+        raise SnapshotCorrupt(f"monitor CSV line {reader.line_num}: {exc}") from None
 
 
 @dataclass

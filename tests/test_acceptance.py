@@ -179,9 +179,9 @@ def _generic_records_at_doubled_dt():
     )
     wanted = {round(t, 9) for t in WINDOW_TIMES}
 
-    def sampler(prob, t, phi, rhs, g):
+    def sampler(t, phi, rhs, g):
         if round(t, 9) in wanted:
-            return engine.record(prob, t, phi, rhs, g)
+            return engine.record(t, phi, rhs, g)
         return None
 
     result = problem.run(opts, sampler=sampler)

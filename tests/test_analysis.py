@@ -205,7 +205,7 @@ class TestMonitorRecords:
         eng = MonitorEngine(prob)
         phi = np.zeros(grid.shape)
         rhs, g = prob.rhs(phi, 0.8)
-        rec = eng.record(prob, 0.8, phi, rhs, g)
+        rec = eng.record(0.8, phi, rhs, g)
         assert rec.sup_phi == 0.0
         assert rec.sup_phidot < 1e-12
         assert abs(rec.trace_min - 2.0) < 1e-12
@@ -230,7 +230,7 @@ class TestMonitorRecords:
         eng = MonitorEngine(prob)
         phi = np.zeros(grid.shape)
         rhs, g = prob.rhs(phi, 0.0)
-        rec = eng.record(prob, 0.0, phi, rhs, g)
+        rec = eng.record(0.0, phi, rhs, g)
         expect = (math.pi**2 * amp) ** 2 / b0**2
         assert abs(rec.fiber_dev0 - expect) < 1e-10 * expect
         assert rec.delta_psi_residual < 1e-12

@@ -274,6 +274,19 @@ class TestSimulate:
         assert rc == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_octagon_mesh_is_not_held_to_the_torus_grid_rule(self, tmp_path, capsys):
+        # base_grid = 48 is the documented smallest octagon mesh, though not
+        # a power of two; below 48 the octagon grid itself rejects it.
+        text = ("[geometry]\nbase_backend = bolza_octagon\nbase_grid = {n}\n"
+                "[flow]\nt_end = 0.1\n[output]\ndirectory = {out}\n")
+        out = tmp_path / "oct"
+        ini = _write(tmp_path, "oct.ini", text.format(n=48, out=out))
+        assert cli.main(["--config", ini, "--quiet", "simulate"]) == 0
+        assert (out / "octagon_series.csv").exists()
+        ini = _write(tmp_path, "small.ini", text.format(n=40, out=out))
+        assert cli.main(["--config", ini, "--quiet", "simulate"]) == 2
+        assert "n >= 48" in capsys.readouterr().err
+
 
 class TestOracleCheckAndFit:
     def test_oracle_check_passes(self, tmp_path, capsys):
@@ -325,3 +338,52 @@ class TestOracleCheckAndFit:
         rc = cli.main(["--config", ini, "fit", str(out / "monitors.csv")])
         assert rc == 1
         assert "not_enough_samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["missing", "short_row", "non_numeric"])
+    def test_fit_on_bad_csv_reports_failure_reason(self, tmp_path, capsys, case):
+        names = MonitorRecord.field_names()
+        row = ["0.5"] * len(names)
+        if case == "short_row":
+            row = row[:-1]
+        elif case == "non_numeric":
+            row[3] = "abc"
+        path = tmp_path / "monitors.csv"
+        if case != "missing":
+            path.write_text(",".join(names) + "\n" + ",".join(row) + "\n")
+        rc = cli.main(["fit", str(path)])
+        assert rc == 1
+        assert "failure_reason = SnapshotCorrupt: " in capsys.readouterr().out
+
+
+def test_single_valued_and_dead_options_are_gone():
+    # Each parameter below had one value in use, or was never read; the
+    # octagon run entry lives in the CLI, the one reader of a RunConfig.
+    import dataclasses
+    import inspect
+
+    from krflow import analysis, discretization, octagon, oracle
+
+    gone = {
+        analysis.bounded_monitor_check: ("fields", "factor", "split_t", "atol"),
+        analysis.decay_fit: ("ratio_bound",),
+        analysis.log_slope_fit: ("min_points",),
+        oracle.refinement_order: ("ratio",),
+        oracle.ode_coefficient_oracle: ("t_end", "dt"),
+        oracle.stationarity_oracle: ("ts",),
+        octagon.reduce_to_fundamental: ("max_steps",),
+        octagon.OctagonGrid: ("margin",),
+        octagon.OctagonGrid.invariant_bump: ("eps",),
+        cli.cmd_oracle_check: ("quiet",),
+        cli.cmd_fit: ("quiet",),
+    }
+    for fn, names in gone.items():
+        params = inspect.signature(fn).parameters
+        assert not set(names) & set(params), (fn.__qualname__, list(params))
+    # the sampler's first argument, the problem, was never read
+    assert list(inspect.signature(analysis.MonitorEngine.record).parameters) == [
+        "self", "t", "phi", "rhs", "g"]
+    assert not hasattr(octagon, "run_octagon_simulation")
+    assert callable(cli.run_octagon_simulation)
+    fit_fields = {f.name for f in dataclasses.fields(analysis.DecayFit)}
+    assert not fit_fields & {"t0", "t1", "n_points"}
+    assert not hasattr(discretization.HermitianField, "copy")

@@ -403,7 +403,7 @@ class TestSpectralStepper:
         p = spectral_problem(8)
         seen = []
         p.run(FlowOptions(t_end=0.2, dt_max=0.01, sample_interval=0.05),
-              sampler=lambda prob, t, phi, rhs, g: seen.append((t, phi, rhs, g)))
+              sampler=lambda t, phi, rhs, g: seen.append((t, phi, rhs, g)))
         assert len(seen) == 4
         for t, phi, rhs, g in seen:
             ref_rhs, ref_g = p.rhs(phi, t)

@@ -386,7 +386,7 @@ class TestBaseFlow:
             "t_end = 1.0\n"
             "dt_sample = 0.5\n"
         )
-        from krflow.octagon import run_octagon_simulation
+        from krflow.cli import run_octagon_simulation
 
         out = tmp_path / "oct"
         code = run_octagon_simulation(cfg, str(out), quiet=True)
@@ -401,7 +401,7 @@ class TestBaseFlow:
 
     def test_cli_entry_honours_dt_sample(self, tmp_path):
         from krflow.cli import parse_config
-        from krflow.octagon import run_octagon_simulation
+        from krflow.cli import run_octagon_simulation
 
         cfg = parse_config(
             "[geometry]\n"
