@@ -29,13 +29,15 @@ Monitored quantities per sample:
 The fast per-sample path (MonitorEngine) expresses every derivative of g
 through one rfft of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
 non-product content of g) plus closed-form derivatives of the base form:
-23 distinct whole-grid fields.  Everything after that runs one first-axis
-base index (a slab of n_base * n_fiber^2 points) at a time, so the working
-set of the pointwise algebra stays cache-sized.  On each slab g = L L* is
-factored by the closed-form 2x2 Cholesky and every tensor index is moved
-into the orthonormal frame E = L^{-1}: holomorphic slots take E,
-antiholomorphic slots conj(E), since g^{-1} = E* E.  Each norm is then a
-plain sum of squared moduli, nonnegative by construction.
+23 distinct whole-grid fields, stacked in one array in _FIELDS order.
+Everything after that runs one first-axis base index (a slab of
+n_base * n_fiber^2 points) at a time, so the working set of the pointwise
+algebra stays cache-sized.  A slab's tensors are read out of the stack by
+integer index tables built at import, one field index per component.  On
+each slab g = L L* is factored by the closed-form 2x2 Cholesky and every
+tensor index is moved into the orthonormal frame E = L^{-1}: holomorphic
+slots take E, antiholomorphic slots conj(E), since g^{-1} = E* E.  Each
+norm is then a plain sum of squared moduli, nonnegative by construction.
 
 A slow generic path in oracle.py (christoffel_deviation,
 curvature_squared, covariant_hessian_squared), using full complex
@@ -99,6 +101,41 @@ def _sum_sq(t, rank):
     return np.sum(t.real**2 + t.imag**2, axis=0)
 
 
+# -- derivative field table (engine path) ----------------------------------
+
+# The distinct derivatives d_{holo} dbar_{anti} w that the slab tensors read,
+# as sorted (holo, anti) index multisets, 0 = base and 1 = fiber.  Mixed
+# partials commute, so a field is fixed by its (holomorphic, antiholomorphic)
+# order and by how many of each kind are fiber derivatives.  D and DD read
+# the orders (2, 1) and (2, 2), T the order (3, 1): 6 + 9 + 8 = 23 fields,
+# stacked in this order.
+_FIELDS = tuple(
+    ((0,) * (nh - h) + (1,) * h, (0,) * (na - a) + (1,) * a)
+    for nh, na in ((2, 1), (2, 2), (3, 1))
+    for h in range(nh + 1)
+    for a in range(na + 1)
+)
+
+
+def _field_index(holo, anti):
+    """_FIELDS index of d_{holo} dbar_{anti} w, elementwise over the integer
+    index arrays in the sequences holo and anti."""
+    first = _FIELDS.index(((0,) * len(holo), (0,) * len(anti)))
+    return first + sum(holo) * (len(anti) + 1) + sum(anti)
+
+
+def _index_tables():
+    """Field index of every component of the slab tensors D, DD, T, M2."""
+    (m, n, q), (i, j, k, l) = np.indices((2, 2, 2)), np.indices((2, 2, 2, 2))
+    return (_field_index((m, n), (q,)),          # d_m g_{n qbar}
+            _field_index((k, i), (l, j)),        # d_k dbar_l g_{i jbar}
+            _field_index((i, j, k), (l,)),       # d_i d_j g_{k lbar}
+            _field_index((j, k), (i, l)))        # dbar_i d_j g_{k lbar}
+
+
+_D, _DD, _T, _M2 = _index_tables()
+
+
 # -- monitor record --------------------------------------------------------
 
 
@@ -135,10 +172,11 @@ class MonitorEngine:
 
     Precomputes base-form derivative tables and the half-spectrum symbol
     products that turn derivatives of g into two real inverse transforms of
-    the single rfft of  w = e^{-t} psi_0 + phi  per field.  The curvature
-    monitors contract the 23 distinct derivative fields slab by slab in the
-    pointwise orthonormal frame of g, with no whole-grid tensor stacks: the
-    only whole-grid arrays are those fields and the three output fields.
+    the single rfft of  w = e^{-t} psi_0 + phi  per field.  Each base slab's
+    D, DD, T and M2 are fancy-indexed out of the stack of the 23 fields by
+    _D, _DD, _T and _M2 and contracted in the pointwise orthonormal frame of
+    g: the only whole-grid arrays are that stack and the three output
+    fields.  The sample fibers' monitors take one batch of 2D transforms.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -161,27 +199,22 @@ class MonitorEngine:
         self.dgamma_h = self.dd_chi / self.chi - (self.dchi / self.chi) ** 2
         self.dgamma_a = self.ddbar_chi / self.chi - np.abs(self.dchi / self.chi) ** 2
 
-        # Strided fiber sample points, spread over both base axes.
-        nb = grid.n_base
-        self.fiber_points = []
-        for r in range(n_sample_fibers):
-            ib = (r * nb) // n_sample_fibers
-            jb = (ib * 3 + r) % nb
-            self.fiber_points.append((ib, jb))
-        self.rho_slices = [geometry.flat_fiber.rho[ib, jb] for ib, jb in self.fiber_points]
-        self.gflat_slices = [
-            float(geometry.flat_fiber.g_flat[ib, jb, 0, 0]) for ib, jb in self.fiber_points
-        ]
+        # Strided fiber sample points (ib, jb), spread over both base axes.
+        r = np.arange(n_sample_fibers)
+        ib = (r * grid.n_base) // n_sample_fibers
+        self.fiber_points = (ib, (ib * 3 + r) % grid.n_base)
+        self.rho_slices = geometry.flat_fiber.rho[self.fiber_points]
+        self.gflat = geometry.flat_fiber.g_flat[self.fiber_points]
+        # Each fiber's scales g_E^2, g_E^3, g_E^4, g_E of fiber_dev0..2 and
+        # delta_psi_residual, g_E its flat coefficient.  Powers of Python
+        # floats: numpy's vector power may round them differently.
+        self.fiber_scales = np.array(
+            [[g**k for g in self.gflat.ravel().tolist()] for k in (2, 3, 4, 1)])
 
         self._symbols = self._build_symbol_products()
 
-    # .. symbol machinery .................................................
-
-    def _key(self, holo, anti):
-        return (tuple(sorted(holo)), tuple(sorted(anti)))
-
     def _build_symbol_products(self):
-        """Real symbol pairs for the 23 derivative fields: key -> (parity, a, b).
+        """Real symbol pairs (parity, a, b) of the _FIELDS, in their order.
 
         A product of n first-derivative symbols is even or odd under k -> -k
         with n, so the field is irfft(a * spec) + 1j irfft(b * spec) with
@@ -189,29 +222,14 @@ class MonitorEngine:
         even (parity 0), spec = 1j w and (a, b) = (Im, -Re) when n is odd.
         """
         sh = self.grid.sym_half
-        s1 = {0: sh[("holo", "b")], 1: sh[("holo", "f")]}
-        s1b = {0: sh[("anti", "b")], 1: sh[("anti", "f")]}
-        needed = set()
-        for m in range(2):
-            for i in range(2):
-                for q in range(2):
-                    needed.add(self._key((m, i), (q,)))
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    for d in range(2):
-                        needed.add(self._key((a, b), (c, d)))   # DD and DA shapes
-                        needed.add(self._key((a, b, c), (d,)))  # DH shapes
-        table = {}
-        for holo, anti in sorted(needed):
-            sym = np.ones((1, 1, 1, 1), dtype=np.complex128)
-            for m in holo:
-                sym = sym * s1[m]
-            for q in anti:
-                sym = sym * s1b[q]
+        s1 = (sh[("holo", "b")], sh[("holo", "f")])
+        s1b = (sh[("anti", "b")], sh[("anti", "f")])
+        table = []
+        for holo, anti in _FIELDS:
+            sym = math.prod([s1[m] for m in holo] + [s1b[q] for q in anti])
             parity = (len(holo) + len(anti)) % 2
             a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
-            table[(holo, anti)] = (parity, np.ascontiguousarray(a), np.ascontiguousarray(b))
+            table.append((parity, np.ascontiguousarray(a), np.ascontiguousarray(b)))
         return table
 
     # .. per-sample record ................................................
@@ -223,66 +241,48 @@ class MonitorEngine:
         shape = grid.shape
         a_t = 1.0 + (geom.spec.base_scale - 1.0) * math.exp(-t)
         w_spec = grid.rfft(math.exp(-t) * geom.psi0 + phi)
-        # Mixed partials coincide after sorting the index multisets, so the
-        # 56 components of D, DD, DH and DA need only these 23 fields: 46
+        # The 56 components of D, DD, T and M2 read only the 23 fields: 46
         # inverse transforms.
         specs = (w_spec, 1j * w_spec)
-        f = {key: grid.irfft(a * specs[parity]) + 1j * grid.irfft(b * specs[parity])
-             for key, (parity, a, b) in self._symbols.items()}
+        f = np.empty((len(_FIELDS),) + shape, dtype=np.complex128)
+        for field, (parity, a, b) in zip(f, self._symbols):
+            field.real = grid.irfft(a * specs[parity])
+            field.imag = grid.irfft(b * specs[parity])
         del w_spec, specs
         # The base form a_t * chi enters only the pure-base components.
-        f[((0, 0), (0,))] += a_t * self.dchi
-        f[((0, 0), (0, 0))] += a_t * self.ddbar_chi
-        f[((0, 0, 0), (0,))] += a_t * self.dd_chi
+        f[_D[0, 0, 0]] += a_t * self.dchi
+        f[_DD[0, 0, 0, 0]] += a_t * self.ddbar_chi
+        f[_T[0, 0, 0, 0]] += a_t * self.dd_chi
 
-        s_field = np.empty(shape)
-        rm2_field = np.empty(shape)
-        grad2_field = np.empty(shape)
+        s_field, rm2_field, grad2_field = np.empty((3,) + shape)
         bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
         for ib in range(shape[0]):
             s_field[ib], rm2_field[ib], grad2_field[ib] = self._slab_norms(
-                f, ib, bb[ib], bf[ib], ff[ib])
+                f[:, ib], ib, bb[ib], bf[ib], ff[ib])
         return s_field, rm2_field, grad2_field
 
     def _slab_norms(self, f, ib, bb, bf, ff):
-        """(s, rm2, grad2) on base slab ib from the derivative fields f.
+        """(s, rm2, grad2) on base slab ib from its derivative fields f.
 
         Tensors hold their components on leading axes of length 2, in the
         index order of the stacked tensors of oracle.py's generic path.
         """
-        key = self._key
         gamma, dgamma_h, dgamma_a = self.gamma[ib], self.dgamma_h[ib], self.dgamma_a[ib]
-        g0 = (bb, bf)  # g_{0 lbar}
-
-        def gather(rank, pick):
-            out = np.empty((2,) * rank + bb.shape, dtype=np.complex128)
-            for idx in np.ndindex(*out.shape[:rank]):
-                out[idx] = f[key(*pick(*idx))][ib]
-            return out
-
-        d = gather(3, lambda m, i, q: ((m, i), (q,)))            # d_m g_{i qbar}
-        dd = gather(4, lambda i, j, k, l: ((k, i), (l, j)))      # d_k dbar_l g_{i jbar}
-        t = gather(4, lambda i, j, k, l: ((i, j, k), (l,)))      # d_i d_j g_{k lbar}
-        m2 = gather(4, lambda i, j, k, l: ((j, k), (i, l)))      # dbar_i d_j g_{k lbar}
+        g0 = np.stack((bb, bf))  # g_{0 lbar}
+        d, dd, t, m2 = f[_D], f[_DD], f[_T], f[_M2]
 
         # gamma corrections, on the components where they are nonzero:
-        # W = nabla~ g, T = nabla~ W, M2 = nabla~bar W.
+        # W = nabla~ g, T = nabla~ W, M2 = nabla~bar W.  A component of T or
+        # M2 takes its terms in the order written.
         w = d.copy()
-        for l in range(2):
-            w[0, 0, l] -= gamma * g0[l]
-        for i, j, k, l in np.ndindex(2, 2, 2, 2):
-            if j == 0 and k == 0:
-                if i == 0:
-                    t[i, j, k, l] -= dgamma_h * g0[l]
-                    m2[i, j, k, l] -= dgamma_a * g0[l]
-                t[i, j, k, l] -= gamma * d[i, 0, l]
-                m2[i, j, k, l] -= gamma * np.conj(d[i, l, 0])
-            if i == 0 and j == 0:
-                t[i, j, k, l] -= gamma * w[0, k, l]
-            if i == 0 and k == 0:
-                t[i, j, k, l] -= gamma * w[j, 0, l]
-            if i == 0 and l == 0:
-                m2[i, j, k, l] -= np.conj(gamma) * w[j, k, 0]
+        w[0, 0] -= gamma * g0
+        t[0, 0, 0] -= dgamma_h * g0
+        t[:, 0, 0] -= gamma * d[:, 0]
+        t[0, 0] -= gamma * w[0]
+        t[0, :, 0] -= gamma * w[:, 0]
+        m2[0, 0, 0] -= dgamma_a * g0
+        m2[:, 0, 0] -= gamma * np.conj(d[:, :, 0])
+        m2[0, :, :, 0] -= np.conj(gamma) * w[:, :, 0]
 
         frame = _frame(bb, bf, ff)
         _to_frame(w, frame, "hha")
@@ -313,24 +313,18 @@ class MonitorEngine:
 
         s_field, rm2_field, grad2_field = self.curvature_fields(t, phi, g)
 
-        dev0 = dev1 = dev2 = resid = 0.0
-        g_ff_full = np.broadcast_to(g.ff, shape)
-        phi_full = np.broadcast_to(phi, shape)
-        for (ib, jb), rho2, ge in zip(self.fiber_points, self.rho_slices,
-                                      self.gflat_slices):
-            dev = e_t * g_ff_full[ib, jb] - ge
-            dev0 = max(dev0, float(np.max(dev**2)) / ge**2)
-            d1 = grid.fiber_deriv(dev, "holo")
-            dev1 = max(dev1, 2.0 * float(np.max(np.abs(d1) ** 2)) / ge**3)
-            d2h = grid.fiber_deriv(d1, "holo")
-            d2m = grid.fiber_deriv(d1, "anti")
-            dev2 = max(
-                dev2,
-                2.0 * float(np.max(np.abs(d2h) ** 2 + np.abs(d2m) ** 2)) / ge**4,
-            )
-            psi = e_t * phi_full[ib, jb] - rho2
-            lhs = grid.fiber_hessian(psi)
-            resid = max(resid, float(np.max(np.abs(lhs - dev))) / ge)
+        # The sample fibers, stacked on a leading axis: each fiber monitor
+        # is a per-fiber sup, scaled, then maximized over the fibers.
+        fibers = self.fiber_points
+        dev = e_t * np.broadcast_to(g.ff, shape)[fibers] - self.gflat
+        d1 = grid.fiber_deriv(dev, "holo")
+        d2 = (np.abs(grid.fiber_deriv(d1, "holo")) ** 2
+              + np.abs(grid.fiber_deriv(d1, "anti")) ** 2)
+        psi = e_t * np.broadcast_to(phi, shape)[fibers] - self.rho_slices
+        defect = np.abs(grid.fiber_hessian(psi) - dev)
+        sups = np.max(np.stack((dev**2, 2.0 * np.abs(d1) ** 2, 2.0 * d2, defect)),
+                      axis=(2, 3))
+        dev0, dev1, dev2, resid = np.max(sups / self.fiber_scales, axis=1).tolist()
 
         return MonitorRecord(
             t=t,
@@ -389,6 +383,14 @@ class DecayFit:
     passed: bool          # constant finite and ratio_max / ratio_min <= 4
 
 
+def check_fit_window(t_min: float, t_max: float) -> None:
+    """Raise ConfigInvalid unless the fit window satisfies t_max > t_min >= 1."""
+    if not (t_max > t_min >= 1.0):
+        raise ConfigInvalid(
+            f"fit window must satisfy t_max > t_min >= 1, got [{t_min}, {t_max}]"
+        )
+
+
 def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0) -> DecayFit:
     """Fit a monitor series against the decaying envelope (1 + t) e^{-t}.
 
@@ -400,10 +402,7 @@ def decay_fit(times, values, t_min: float = 2.0, t_max: float = 6.0) -> DecayFit
     scale-equivariant: scaling the series scales `constant` and leaves the
     ratio spread and the pass flag unchanged.
     """
-    if not (t_max > t_min >= 1.0):
-        raise ConfigInvalid(
-            f"fit window must satisfy t_max > t_min >= 1, got [{t_min}, {t_max}]"
-        )
+    check_fit_window(t_min, t_max)
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = (times >= t_min - 1e-12) & (times <= t_max + 1e-12)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .analysis import (
     MonitorEngine,
     bounded_monitor_check,
+    check_fit_window,
     decay_fit,
     fiber_flatness_rates,
 )
@@ -165,11 +166,7 @@ def _validate(cfg: RunConfig) -> None:
             f"got {g['initial_potential']!r}"
         )
     a = cfg.values["analysis"]
-    if not (a["fit_t_max"] > a["fit_t_min"] >= 1.0):
-        raise ConfigInvalid(
-            f"fit window must satisfy t_max > t_min >= 1, "
-            f"got [{a['fit_t_min']}, {a['fit_t_max']}]"
-        )
+    check_fit_window(a["fit_t_min"], a["fit_t_max"])
     if not (1 <= a["fiber_stride"] <= 64):
         raise ConfigInvalid(f"fiber_stride out of range: {a['fiber_stride']}")
     if cfg.values["output"]["snapshot_interval"] < 0:
@@ -358,6 +355,9 @@ def _analysis_summary(cfg: RunConfig, records) -> dict:
 
 
 def cmd_oracle_check(cfg: RunConfig, seed=None, omega_scale: float = 1.0) -> int:
+    if cfg[("geometry", "base_backend")] == "bolza_octagon":
+        raise ConfigInvalid("oracle-check runs the torus battery; "
+                            "it has no checks for base_backend = bolza_octagon")
     grid = cfg.grid()
     geometry = SurrogateGeometry(grid, cfg.geometry_spec())
     reports = _preflight(cfg, geometry, seed, density_scale=omega_scale)

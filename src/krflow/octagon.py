@@ -47,6 +47,7 @@ which keeps the monitor accurate on coarse meshes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -144,7 +145,6 @@ def _interp_weights(s: float) -> np.ndarray:
 _GEN_MATS = np.array(
     [[[ALPHA, BETAS[k]], [np.conj(BETAS[k]), ALPHA]] for k in range(8)]
 )
-_ORBIT_CACHE: np.ndarray | None = None
 
 
 _ORBIT_COSH_CUT = 900.0
@@ -152,6 +152,7 @@ _ORBIT_DEPTH = 7
 _ORBIT_BLOCK = 1024  # words expanded per stacked product
 
 
+@functools.lru_cache
 def origin_orbit(cosh_cut: float = _ORBIT_COSH_CUT, max_depth: int = _ORBIT_DEPTH) -> np.ndarray:
     """Orbit of the origin under the pairing group, out to a distance cut.
 
@@ -165,11 +166,9 @@ def origin_orbit(cosh_cut: float = _ORBIT_COSH_CUT, max_depth: int = _ORBIT_DEPT
     The default cut keeps every omitted orbit point at distance > 3.8 from
     the entire ghost band of any usable mesh, so sums of exp(1 - cosh d)
     over this orbit agree across the fundamental-domain reduction to
-    ~1e-10 everywhere the solver reads them.
+    ~1e-10 everywhere the solver reads them.  Memoized: later calls with
+    the same arguments return the same read-only array.
     """
-    global _ORBIT_CACHE
-    if _ORBIT_CACHE is not None and cosh_cut == _ORBIT_COSH_CUT and max_depth == _ORBIT_DEPTH:
-        return _ORBIT_CACHE
     step = math.acosh(1.0 + 2.0 * W0_SQ / (1.0 - W0_SQ))  # generator reach
     d_cut = math.acosh(cosh_cut)
 
@@ -199,8 +198,7 @@ def origin_orbit(cosh_cut: float = _ORBIT_COSH_CUT, max_depth: int = _ORBIT_DEPT
             parts.append(children[kept])
         frontier = np.concatenate(parts)
     orbit = np.array(centers)
-    if cosh_cut == _ORBIT_COSH_CUT and max_depth == _ORBIT_DEPTH:
-        _ORBIT_CACHE = orbit
+    orbit.flags.writeable = False  # the cache hands it to every caller
     return orbit
 
 

@@ -51,6 +51,25 @@ def test_reference_code_lives_in_oracle():
         assert getattr(module, name) is getattr(oracle, name), name
 
 
+def test_index_tables_read_the_sorted_derivative_multisets():
+    # Mixed partials commute, so each slab component reads the field of its
+    # sorted (holo, anti) index multiset, and every stacked field is read.
+    fields = analysis._FIELDS
+
+    def field(holo, anti):
+        return fields.index((tuple(sorted(holo)), tuple(sorted(anti))))
+
+    assert len(set(fields)) == len(fields) == 23
+    for m, i, q in np.ndindex(2, 2, 2):
+        assert analysis._D[m, i, q] == field((m, i), (q,))
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        assert analysis._DD[i, j, k, l] == field((k, i), (l, j))
+        assert analysis._T[i, j, k, l] == field((i, j, k), (l,))
+        assert analysis._M2[i, j, k, l] == field((j, k), (i, l))
+    tables = (analysis._D, analysis._DD, analysis._T, analysis._M2)
+    assert set(np.concatenate([t.ravel() for t in tables]).tolist()) == set(range(23))
+
+
 class TestEngineVsGeneric:
     @staticmethod
     def _input():
@@ -221,9 +240,11 @@ class TestMonitorRecords:
         assert rec.delta_psi_residual < 1e-12
 
     def test_fiber_deviation_against_hand_value(self):
-        # psi0 = A cos(2 pi u): at t = 0 with phi = 0 the fiber deviation is
-        # its fiber Hessian -pi^2 A cos(2 pi u), so the squared sup norm is
-        # (pi^2 A)^2 / b0^2.
+        # psi0 = A cos(2 pi u), tau = i: at t = 0 with phi = 0 the fiber
+        # deviation is its fiber Hessian -pi^2 A cos(2 pi u), so the squared
+        # sup norm is (pi^2 A)^2 / b0^2.  Each d/dz_f = (d/du - i d/dv) / 2
+        # takes a factor pi, so |d1|^2 peaks at pi^6 A^2 and |d2h|^2 +
+        # |d2m|^2 at 2 pi^8 A^2, each over the matching power of b0.
         amp, b0 = 0.04, 2.0
         grid, geom, prob = make_problem(
             fiber_scale=b0, psi0_preset="fiber_cos", psi0_amplitude=amp)
@@ -231,8 +252,12 @@ class TestMonitorRecords:
         phi = np.zeros(grid.shape)
         rhs, g = prob.rhs(phi, 0.0)
         rec = eng.record(0.0, phi, rhs, g)
-        expect = (math.pi**2 * amp) ** 2 / b0**2
-        assert abs(rec.fiber_dev0 - expect) < 1e-10 * expect
+        for value, expect in (
+            (rec.fiber_dev0, (math.pi**2 * amp) ** 2 / b0**2),
+            (rec.fiber_dev1, 2.0 * math.pi**6 * amp**2 / b0**3),
+            (rec.fiber_dev2, 4.0 * math.pi**8 * amp**2 / b0**4),
+        ):
+            assert abs(value - expect) < 1e-10 * expect
         assert rec.delta_psi_residual < 1e-12
 
     def test_identity_residual_stays_tiny_along_a_run(self):

@@ -298,6 +298,19 @@ class TestOracleCheckAndFit:
         assert out.count("[PASS]") == 7
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_oracle_check_rejects_octagon_config(self, tmp_path, capsys, n):
+        # The battery checks torus operators only; on an octagon config it
+        # would check a grid the run never uses (64) or fail the torus grid
+        # rule (48).
+        ini = _write(tmp_path, "oct.ini",
+                     f"[geometry]\nbase_backend = bolza_octagon\nbase_grid = {n}\n")
+        rc = cli.main(["--config", ini, "oracle-check"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "bolza_octagon" in captured.err
+        assert "[PASS]" not in captured.out
+
     def test_fault_injection_is_caught(self, tmp_path, capsys):
         ini = _write(tmp_path, "o.ini",
                      "[geometry]\nbase_grid = 8\nfiber_grid = 8\n")
