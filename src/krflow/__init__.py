@@ -48,10 +48,8 @@ from .flow import (
 )
 from .geometry import (
     PSI0_PRESETS,
-    FlatFiberData,
     GeometrySpec,
     SurrogateGeometry,
-    VolumeDensity,
 )
 from .octagon import BolzaFlowResult, OctagonGrid, gauss_curvature, run_base_flow
 from .oracle import OracleReport, product_reduced_run, run_battery
@@ -69,7 +67,6 @@ __all__ = [
     "BolzaFlowResult",
     "ConfigInvalid",
     "DecayFit",
-    "FlatFiberData",
     "FlowOptions",
     "FlowProblem",
     "FlowResult",
@@ -89,7 +86,6 @@ __all__ = [
     "SingularMetric",
     "SpectralGrid",
     "SurrogateGeometry",
-    "VolumeDensity",
     "bounded_monitor_check",
     "decay_fit",
     "drift_stats",

@@ -203,8 +203,8 @@ class MonitorEngine:
         r = np.arange(n_sample_fibers)
         ib = (r * grid.n_base) // n_sample_fibers
         self.fiber_points = (ib, (ib * 3 + r) % grid.n_base)
-        self.rho_slices = geometry.flat_fiber.rho[self.fiber_points]
-        self.gflat = geometry.flat_fiber.g_flat[self.fiber_points]
+        self.rho_slices = geometry.rho[self.fiber_points]
+        self.gflat = geometry.g_flat[self.fiber_points]
         # Each fiber's scales g_E^2, g_E^3, g_E^4, g_E of fiber_dev0..2 and
         # delta_psi_residual, g_E its flat coefficient.  Powers of Python
         # floats: numpy's vector power may round them differently.
@@ -309,7 +309,7 @@ class MonitorEngine:
         tilde = geom.tilde(t)
         lo, hi = relative_eigen_bounds(g, tilde)
         tr = trace_with(g, tilde)
-        ratio = e_t * g.det() / geom.volume.density
+        ratio = e_t * g.det() / geom.density
 
         s_field, rm2_field, grad2_field = self.curvature_fields(t, phi, g)
 

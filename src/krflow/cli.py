@@ -1,8 +1,9 @@
 """Command-line driver: config parsing, run orchestration, persistence.
 
 Config files are INI-style: `[section]` headers, `key = value` lines, `#`
-comments.  Sections and keys are fixed by the schema below; unknown names
-are rejected with the offending line number so configs stay honest.
+comments.  Sections and keys are fixed by the schema below; unknown names,
+and on the octagon backend the keys its run does not read, are rejected
+with the offending line number so configs stay honest.
 
 Exit codes: 0 success; 1 run/oracle/numerical failure (a machine-readable
 `failure_reason = ...` line is emitted); 2 configuration errors.
@@ -11,7 +12,6 @@ Exit codes: 0 success; 1 run/oracle/numerical failure (a machine-readable
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -31,13 +31,20 @@ from .geometry import PSI0_PRESETS, GeometrySpec, SurrogateGeometry
 from .octagon import OctagonGrid, run_base_flow
 from .oracle import fold_oracle, run_battery, stationarity_oracle
 from .persistence import (
+    format_summary,
     read_monitor_csv,
+    write_csv,
     write_monitor_csv,
     write_snapshot,
     write_summary,
 )
 
 BACKENDS = ("torus_surrogate", "bolza_octagon")
+
+# The keys the octagon run reads; an octagon config that sets any other key
+# is rejected rather than silently ignored.
+_OCTAGON_KEYS = {("geometry", "base_backend"), ("geometry", "base_grid"),
+                 ("flow", "t_end"), ("flow", "dt_sample"), ("output", "directory")}
 
 
 def _parse_complex(text: str) -> complex:
@@ -115,7 +122,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; raise ConfigInvalid with diagnostics."""
     values = {sec: dict((k, d) for k, (_, d) in keys.items())
               for sec, keys in _SCHEMA.items()}
-    seen = set()
+    seen = {}  # (section, key) -> line number
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,7 +143,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigInvalid(f"line {lineno}: unknown key {key!r} in [{section}]")
         if (section, key) in seen:
             raise ConfigInvalid(f"line {lineno}: duplicate key {key!r} in [{section}]")
-        seen.add((section, key))
+        seen[(section, key)] = lineno
         converter, _ = _SCHEMA[section][key]
         try:
             values[section][key] = converter(value)
@@ -145,6 +152,11 @@ def parse_config(text: str) -> RunConfig:
                 f"line {lineno}: cannot parse value {value!r} for key {key!r}"
             ) from None
 
+    if values["geometry"]["base_backend"] == "bolza_octagon":
+        for (section, key), lineno in seen.items():
+            if (section, key) not in _OCTAGON_KEYS:
+                raise ConfigInvalid(f"line {lineno}: key {key!r} in [{section}] is not "
+                                    "read by base_backend = bolza_octagon")
     cfg = RunConfig(values)
     _validate(cfg)
     return cfg
@@ -198,15 +210,6 @@ def _emit(quiet: bool, *parts) -> None:
         print(*parts)
 
 
-def _write_oracle_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "passed", "measured", "tolerance", "detail"])
-        for r in reports:
-            writer.writerow([r.name, r.passed, f"{r.measured:.17g}",
-                             f"{r.tolerance:.17g}", r.detail])
-
-
 def _preflight(cfg: RunConfig, geometry, seed, density_scale: float = 1.0):
     """The oracle reports `simulate` and `oracle-check` both run: the
     discretization battery, then stationarity and the fold on `geometry`."""
@@ -242,7 +245,9 @@ def cmd_simulate(cfg: RunConfig, out_dir, quiet: bool = False, seed=None) -> int
     reports = _preflight(cfg, geometry, seed)
     for r in reports:
         _emit(quiet, r.line())
-    _write_oracle_csv(os.path.join(out_dir, "oracles.csv"), reports)
+    write_csv(os.path.join(out_dir, "oracles.csv"),
+              ["name", "passed", "measured", "tolerance", "detail"],
+              ((r.name, r.passed, r.measured, r.tolerance, r.detail) for r in reports))
     if not all(r.passed for r in reports):
         print("failure_reason = OracleFailure: preflight oracle check failed")
         return 1
@@ -298,11 +303,8 @@ def run_octagon_simulation(cfg: RunConfig, out_dir, quiet: bool = False) -> int:
     result = run_base_flow(grid, t_end=cfg[("flow", "t_end")],
                            sample_interval=cfg[("flow", "dt_sample")])
 
-    with open(os.path.join(out_dir, "octagon_series.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sup_phi", "rel_dev"])
-        for t, s, d in zip(result.ts, result.sup_phi, result.rel_dev):
-            writer.writerow([f"{t:.17g}", f"{s:.17g}", f"{d:.17g}"])
+    write_csv(os.path.join(out_dir, "octagon_series.csv"), ["t", "sup_phi", "rel_dev"],
+              zip(result.ts, result.sup_phi, result.rel_dev))
     write_summary(
         os.path.join(out_dir, "octagon_summary.txt"),
         {
@@ -372,11 +374,7 @@ def cmd_oracle_check(cfg: RunConfig, seed=None, omega_scale: float = 1.0) -> int
 def cmd_fit(cfg: RunConfig, csv_path) -> int:
     records = read_monitor_csv(csv_path)
     summary = _analysis_summary(cfg, records)
-    for key, value in summary.items():
-        if isinstance(value, float):
-            print(f"{key} = {value:.17g}")
-        else:
-            print(f"{key} = {value}")
+    print(format_summary(summary), end="")
     return 0 if summary.get("fit_passed") is True else 1
 
 

@@ -74,8 +74,8 @@ class HermitianField:
     """Coefficient blocks of a Hermitian 2x2 matrix field: bb, bf, ff.
 
     bb and ff are real arrays, bf is complex; the fb block is conj(bf).
-    Supports addition, subtraction, and scaling by real scalars/arrays,
-    all with numpy broadcasting.
+    Supports addition and scaling by real scalars/arrays, with numpy
+    broadcasting.
     """
 
     bb: np.ndarray
@@ -84,9 +84,6 @@ class HermitianField:
 
     def __add__(self, other: "HermitianField") -> "HermitianField":
         return HermitianField(self.bb + other.bb, self.bf + other.bf, self.ff + other.ff)
-
-    def __sub__(self, other: "HermitianField") -> "HermitianField":
-        return HermitianField(self.bb - other.bb, self.bf - other.bf, self.ff - other.ff)
 
     def __mul__(self, s) -> "HermitianField":
         return HermitianField(self.bb * s, self.bf * s, self.ff * s)

@@ -15,10 +15,17 @@ M = mu_b * dd_b + mu_f * dd_f - 1, with mu_* the midrange of the current
 pointwise inverse-metric coefficients, is solved implicitly (a diagonal
 division per mode); the remainder F(phi) - M phi is extrapolated
 explicitly to second order.  The remainder is a *relative* perturbation
-of the proxy of size (max - min)/(max + min) < 1 uniformly in t, so the
-step stays stable at fixed dt even though the fiber diffusivity itself
-grows like e^t; an explicit step would shrink like e^{-t}.  An
-integrating-factor RK4 variant was tried and rejected: with any diagonal
+of the proxy of size rho at most the contrast (max - min)/(max + min) < 1,
+uniformly in t, so dt need not shrink as the fiber diffusivity grows like
+e^t; an explicit step would shrink like e^{-t}.  A contrast below 1 makes
+IMEX Euler stable, but not BDF2: in the stiff limit dt * mu * |k|^2 ->
+infinity a mode amplifies by the roots zeta of zeta^2 + rho ((1 + r) zeta
+- r) = 0, r the step ratio, which stay inside the unit circle only for
+rho in (-1/r, 1/(1 + 2r)), that is (-1, 1/3) at equal steps.  The shipped
+twist (twist_amplitude 0.02) gives the base coefficient ff/det a contrast
+of 2 pi^2 * 0.02 = 0.395, above 1/3, so high base modes can grow once dt
+* mu_b * |k|^2 is large, on fine base grids (README, Known limitations).
+An integrating-factor RK4 variant was tried and rejected: with any diagonal
 factor the transformed remainder acquires exponentially large cross-mode
 entries once dt * mu * k^2 >> 1, and runs with fiber-coupled data went
 unstable near t ~ 3 + ln(dt_ref/dt) in practice.
@@ -203,7 +210,7 @@ class FlowProblem:
     def __init__(self, geometry: SurrogateGeometry, omega_density: np.ndarray | None = None):
         self.geometry = geometry
         self.grid: SpectralGrid = geometry.grid
-        dens = geometry.volume.density if omega_density is None else np.asarray(omega_density)
+        dens = geometry.density if omega_density is None else np.asarray(omega_density)
         if np.min(dens) <= 0.0:
             raise NonPositiveDensity(f"pinned density must be positive: min {np.min(dens):.6g}")
         self.log_omega = np.log(dens)

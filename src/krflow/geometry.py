@@ -11,13 +11,17 @@ coefficient in the z_f frame.  The initial form is
 
     omega_0 = base_scale * chi + fiber_scale * omega_E + i ddbar(psi_0),
 
-which must be positive on the grid.  Two reference families interpolate
-between omega_0 and the base form:
+which must be positive on the grid; SurrogateGeometry.initial_form builds
+it on demand and the geometry does not keep it.  Two reference families
+interpolate between omega_0 and the base form:
 
     hat(t)   = e^{-t} omega_0 + (1 - e^{-t}) chi
     tilde(t) = chi + e^{-t} omega_E
 
 For base_scale = fiber_scale = 1 and psi_0 = 0 the two families coincide.
+The flow folds hat(t) into its spectral state and never forms it; only the
+fold oracle builds it, as oracle.hat.  tilde(t) is the monitors' comparison
+form.
 
 The fiberwise flat representative of omega_0 restricted to a fiber has
 constant coefficient g_flat(z) (the fiber average); the potential rho with
@@ -103,27 +107,14 @@ class GeometrySpec:
             raise SingularMetric(f"base_scale must be positive, got {self.base_scale}")
 
 
-@dataclass
-class FlatFiberData:
-    """Fiberwise flat representative: potential rho and coefficient g_flat."""
-
-    rho: np.ndarray      # (nb, nb, nf, nf)
-    g_flat: np.ndarray   # (nb, nb, 1, 1)
-
-
-@dataclass
-class VolumeDensity:
-    """Pinned volume density coefficient and its total integral."""
-
-    density: np.ndarray  # (nb, nb, 1, 1), strictly positive
-    total_integral: float
-
-
 class SurrogateGeometry:
     """Grid realization of a GeometrySpec on the product torus.
 
     Everything downstream (flow right-hand side, monitors, fits) reads the
-    geometry through this object; all fields are precomputed once.
+    geometry through this object.  It keeps only the fields a run reads:
+    chi, psi_0 and its spectrum, the flat fiber data rho and g_flat, the
+    pinned density and the base Christoffel symbol.  omega_0, which only
+    construction and the fold oracle read, is rebuilt by initial_form().
     """
 
     def __init__(self, grid: SpectralGrid, spec: GeometrySpec, psi0: np.ndarray | None = None):
@@ -148,40 +139,32 @@ class SurrogateGeometry:
         self.psi0 = np.ascontiguousarray(np.broadcast_to(psi0, grid.shape))
         self.psi0_spec = grid.rfft(self.psi0)  # the flow folds psi_0 in spectrally
 
-        zero = np.zeros((1, 1, 1, 1))
-        self.chi_form = HermitianField(self.chi, zero + 0.0j, zero)
-        self.fiber_form = HermitianField(zero, zero + 0.0j, zero + self.g_fiber)
+        omega0 = self.initial_form()
+        _validate_omega0(omega0)
+        self.rho, self.g_flat = self._solve_flat_fiber(omega0.ff)
+        del omega0
 
-        self.omega0 = grid.spectral_hessian(self.psi0_spec)
-        self.omega0.bb += spec.base_scale * self.chi
-        self.omega0.ff += spec.fiber_scale * self.g_fiber
-        self._validate_omega0()
-
-        self.flat_fiber = self._solve_flat_fiber()
-        self.volume = self._build_volume()
+        self.density = self.chi * self.g_flat
+        if np.min(self.density) <= 0.0:
+            raise NonPositiveDensity(
+                f"volume density must be positive: min {np.min(self.density):.6g}"
+            )
 
         # Only nonzero reference Christoffel on the product: the base one,
         # d/dz_b log(chi).  The tilde family's connection is t-independent.
         gamma2 = grid.base_deriv(self.chi2, "holo") / self.chi2
         self.gamma_b = gamma2[:, :, None, None]
 
-    # -- construction helpers ---------------------------------------------
+    def initial_form(self) -> HermitianField:
+        """omega_0 = base_scale * chi + fiber_scale * omega_E + H(psi_0), built anew."""
+        form = self.grid.spectral_hessian(self.psi0_spec)
+        form.bb += self.spec.base_scale * self.chi
+        form.ff += self.spec.fiber_scale * self.g_fiber
+        return form
 
-    def _validate_omega0(self):
-        ff_min = float(np.min(self.omega0.ff))
-        if ff_min <= 0.0:
-            raise SingularFiberMetric(
-                f"fiber block of the initial form degenerates: min {ff_min:.6g}"
-            )
-        det_min = float(np.min(self.omega0.det()))
-        bb_min = float(np.min(self.omega0.bb))
-        if bb_min <= 0.0 or det_min <= 0.0:
-            raise SingularMetric(
-                f"initial form is not positive: min bb {bb_min:.6g}, min det {det_min:.6g}"
-            )
-
-    def _solve_flat_fiber(self) -> FlatFiberData:
-        g0_ff = np.broadcast_to(self.omega0.ff, self.grid.shape)
+    def _solve_flat_fiber(self, ff0: np.ndarray):
+        """(rho, g_flat) of the fiber block ff0 of omega_0."""
+        g0_ff = np.broadcast_to(ff0, self.grid.shape)
         g_flat = np.mean(g0_ff, axis=(2, 3), keepdims=True)
         if np.min(g_flat) <= 0.0:
             raise SingularFiberMetric(
@@ -192,24 +175,23 @@ class SurrogateGeometry:
         # Pin the additive fiber constant: omega_0-weighted fiber mean zero.
         w = g0_ff / np.sum(g0_ff, axis=(2, 3), keepdims=True)
         rho = rho - np.sum(rho * w, axis=(2, 3), keepdims=True)
-        return FlatFiberData(rho=rho, g_flat=g_flat)
-
-    def _build_volume(self) -> VolumeDensity:
-        density = self.chi * self.flat_fiber.g_flat
-        if np.min(density) <= 0.0:
-            raise NonPositiveDensity(
-                f"volume density must be positive: min {np.min(density):.6g}"
-            )
-        total = self.grid.mean(density)
-        return VolumeDensity(density=density, total_integral=total)
-
-    # -- reference families -----------------------------------------------
-
-    def hat(self, t: float) -> HermitianField:
-        """Reference form interpolating omega_0 -> chi (metric completion)."""
-        e = float(np.exp(-t))
-        return self.omega0 * e + self.chi_form * (1.0 - e)
+        return rho, g_flat
 
     def tilde(self, t: float) -> HermitianField:
         """Product comparison form chi + e^{-t} omega_E (always positive)."""
-        return self.chi_form + self.fiber_form * float(np.exp(-t))
+        zero = np.zeros((1, 1, 1, 1))
+        return HermitianField(self.chi, zero + 0.0j, zero + self.g_fiber * float(np.exp(-t)))
+
+
+def _validate_omega0(omega0: HermitianField) -> None:
+    ff_min = float(np.min(omega0.ff))
+    if ff_min <= 0.0:
+        raise SingularFiberMetric(
+            f"fiber block of the initial form degenerates: min {ff_min:.6g}"
+        )
+    det_min = float(np.min(omega0.det()))
+    bb_min = float(np.min(omega0.bb))
+    if bb_min <= 0.0 or det_min <= 0.0:
+        raise SingularMetric(
+            f"initial form is not positive: min bb {bb_min:.6g}, min det {det_min:.6g}"
+        )

@@ -4,10 +4,11 @@ Everything here is deliberately written against different machinery than the
 production code paths: second- and fourth-order roll stencils instead of
 spectral symbols, a dense assembled matrix instead of an FFT Poisson solve,
 an adaptive ODE integrator and the RK4 separable product reference
-(product_reduced_run) instead of the PDE stepper, and the generic curvature
-path (christoffel_deviation, curvature_squared, covariant_hessian_squared)
-on full complex transforms (fft_c, ifft_c, sym_full, deriv) instead of the
-monitor engine.  Agreement between the two sides is what the test suite
+(product_reduced_run) instead of the PDE stepper, the reference family
+hat built from omega_0 instead of the flow's spectral fold, and the generic
+curvature path (christoffel_deviation, curvature_squared,
+covariant_hessian_squared) on full complex transforms (fft_c, ifft_c,
+sym_full, deriv) instead of the monitor engine.  Agreement between the two sides is what the test suite
 (and the `oracle-check` CLI subcommand) certifies.
 """
 
@@ -336,7 +337,7 @@ def stationarity_oracle(geometry, density_scale: float = 1.0) -> OracleReport:
         geometry.grid,
         GeometrySpec(base_level=spec.base_level, base_ripple=spec.base_ripple),
     )
-    problem = FlowProblem(twin, omega_density=density_scale * twin.volume.density)
+    problem = FlowProblem(twin, omega_density=density_scale * twin.density)
     zeros = np.zeros(twin.grid.shape)
     devs = []
     for t in (0.0, 1.0, 5.0):
@@ -350,6 +351,12 @@ def stationarity_oracle(geometry, density_scale: float = 1.0) -> OracleReport:
         1e-12,
         "per-t residuals " + " ".join(f"{d:.2e}" for d in devs),
     )
+
+
+def hat(omega0: HermitianField, chi: np.ndarray, t: float) -> HermitianField:
+    """Reference form e^{-t} omega_0 + (1 - e^{-t}) chi, built the long way."""
+    e = float(np.exp(-t))
+    return HermitianField(omega0.bb * e + chi * (1.0 - e), omega0.bf * e, omega0.ff * e)
 
 
 def fold_oracle(geometry, seed: int | None = None) -> OracleReport:
@@ -377,12 +384,13 @@ def fold_oracle(geometry, seed: int | None = None) -> OracleReport:
         psi0=geometry.psi0,
     )
     problem = FlowProblem(twin)
+    omega0 = twin.initial_form()
     phi = 1e-5 * _test_field(twin.grid, seed)
     h = twin.grid.hessian(phi)
     devs = []
     for t in (0.0, 1.0, 5.0):
         got = problem.metric(phi, t)
-        want = twin.hat(t)
+        want = hat(omega0, twin.chi, t)
         gaps = []
         for a, b, hb in ((got.bb, want.bb, h.bb), (got.bf, want.bf, h.bf),
                          (got.ff, want.ff, h.ff)):

@@ -1,8 +1,9 @@
 """File formats for runs: monitor CSV, field snapshots, summary text.
 
-Monitor series round-trip through CSV losslessly: every float is printed
-with 17 significant digits, which is exactly enough to reproduce an IEEE
-double bit-for-bit on re-parse.
+Every float an artifact holds (CSV cells, summary values, and the lines
+`krflow fit` prints) is formatted here, with 17 significant digits, which
+is exactly enough to reproduce an IEEE double bit-for-bit on re-parse; so
+monitor series round-trip through CSV losslessly.
 
 Snapshots use a fixed little-endian binary layout:
 
@@ -31,17 +32,24 @@ SNAPSHOT_MAGIC = b"KRFL"
 SNAPSHOT_VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(value):
+    """A value as every artifact writes it: a float with 17 significant
+    digits, anything else as it is."""
+    return f"{value:.17g}" if isinstance(value, float) else value
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV with a header row, then one line per row; floats via _cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(_cell(v) for v in row)
 
 
 def write_monitor_csv(path, records) -> None:
     """Write monitor records as CSV with a header row, one record per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MonitorRecord.field_names())
-        for rec in records:
-            writer.writerow(_fmt(v) for v in rec.row())
+    write_csv(path, MonitorRecord.field_names(), (rec.row() for rec in records))
 
 
 def read_monitor_csv(path):
@@ -115,14 +123,14 @@ def read_snapshot(path) -> SnapshotData:
     return SnapshotData(t=t, phi=phi)
 
 
-def write_summary(path, entries: dict) -> None:
+def format_summary(entries: dict) -> str:
     """Plain-text `key = value` lines; floats keep full precision."""
+    return "".join(f"{key} = {_cell(value)}\n" for key, value in entries.items())
+
+
+def write_summary(path, entries: dict) -> None:
     with open(path, "w") as fh:
-        for key, value in entries.items():
-            if isinstance(value, float):
-                fh.write(f"{key} = {_fmt(value)}\n")
-            else:
-                fh.write(f"{key} = {value}\n")
+        fh.write(format_summary(entries))
 
 
 def read_summary(path) -> dict:

@@ -45,6 +45,7 @@ def test_reference_code_lives_in_oracle():
     for name in ("fft_c", "ifft_c", "deriv", "sym_full"):
         assert not hasattr(SpectralGrid, name), name
     assert not hasattr(flow, "rk4_step") and not hasattr(flow, "_Reduced2D")
+    assert not hasattr(SurrogateGeometry, "hat") and callable(oracle.hat)
     # perfbench still looks these up on their old modules.
     for module, name in ((analysis, "christoffel_deviation"), (analysis, "curvature_squared"),
                          (analysis, "covariant_hessian_squared"), (flow, "product_reduced_run")):

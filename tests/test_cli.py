@@ -32,7 +32,7 @@ class TestConfigParsing:
         text = """
         # full config exercising every key
         [geometry]
-        base_backend = bolza_octagon
+        base_backend = torus_surrogate
         fiber_modulus = 0.5+2j
         twist_level = 1.5
         twist_amplitude = 0.01
@@ -60,7 +60,7 @@ class TestConfigParsing:
         snapshot_interval = 1.0
         """
         cfg = cli.parse_config(text)
-        assert cfg[("geometry", "base_backend")] == "bolza_octagon"
+        assert cfg[("geometry", "base_backend")] == "torus_surrogate"
         assert cfg[("geometry", "fiber_modulus")] == 0.5 + 2j
         assert cfg[("geometry", "fiber_scale")] == 3.0
         assert cfg[("analysis", "fiber_stride")] == 4
@@ -71,6 +71,42 @@ class TestConfigParsing:
         assert opts.t_end == 4.0 and opts.sample_interval == 0.2
         assert opts.dt_max == 0.0125 and opts.positivity_floor == 1e-6
         assert opts.max_halvings == 10
+
+    def test_octagon_rejects_keys_it_does_not_read(self):
+        # The octagon run reads base_backend, base_grid, t_end, dt_sample and
+        # the output directory; any other key set explicitly is an error.
+        head = "[geometry]\nbase_backend = bolza_octagon\n"
+        read = {("geometry", "base_backend"), ("geometry", "base_grid"),
+                ("flow", "t_end"), ("flow", "dt_sample"), ("output", "directory")}
+        for section, keys in cli._SCHEMA.items():
+            for key, (_, default) in keys.items():
+                if (section, key) in read:
+                    continue
+                text = f"{head}[{section}]\n{key} = {default}\n"
+                with pytest.raises(ConfigInvalid,
+                                   match=rf"line 4: key '{key}' .*bolza_octagon"):
+                    cli.parse_config(text)
+        cfg = cli.parse_config(head + "base_grid = 48\n[flow]\nt_end = 0.5\n"
+                               "dt_sample = 0.1\n[output]\ndirectory = o\n")
+        assert cfg[("flow", "dt_sample")] == 0.1
+        # the same keys stay legal on the torus backend
+        assert cli.parse_config("[flow]\ndt_max = 0.001\n")[("flow", "dt_max")] == 0.001
+
+    def test_readme_ini_block_matches_schema(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        listed, section = [], None
+        for raw in block.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif line:
+                key, _, value = (part.strip() for part in line.partition("="))
+                converter, default = cli._SCHEMA[section][key]
+                assert converter(value) == default, (section, key, value)
+                listed.append((section, key))
+        assert listed == [(sec, key) for sec, keys in cli._SCHEMA.items() for key in keys]
 
     def test_comments_and_blanks_ignored(self):
         cfg = cli.parse_config("# top\n\n[flow]\nt_end = 2.0  # trailing\n\n")
@@ -286,6 +322,17 @@ class TestSimulate:
         ini = _write(tmp_path, "small.ini", text.format(n=40, out=out))
         assert cli.main(["--config", ini, "--quiet", "simulate"]) == 2
         assert "n >= 48" in capsys.readouterr().err
+
+    def test_octagon_config_setting_dt_max_exits_two(self, tmp_path, capsys):
+        # The octagon run steps at its own dt; a dt_max it would ignore is
+        # a config error, not a silent no-op.
+        out = tmp_path / "oct"
+        ini = _write(tmp_path, "oct.ini",
+                     "[geometry]\nbase_backend = bolza_octagon\nbase_grid = 48\n"
+                     f"[flow]\nt_end = 0.1\ndt_max = 0.001\n[output]\ndirectory = {out}\n")
+        assert cli.main(["--config", ini, "--quiet", "simulate"]) == 2
+        assert "line 6: key 'dt_max'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCheckAndFit:

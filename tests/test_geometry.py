@@ -4,6 +4,7 @@ import pytest
 from krflow.discretization import SpectralGrid
 from krflow.errors import ConfigInvalid, SingularFiberMetric, SingularMetric
 from krflow.geometry import GeometrySpec, SurrogateGeometry
+from krflow.oracle import hat
 
 TP = 2.0 * np.pi
 
@@ -49,9 +50,9 @@ class TestInitialForm:
             make(psi0_preset="base_cos", psi0_amplitude=0.2)
 
     def test_mixed_preset_at_default_amplitude_is_positive(self):
-        geom = make(psi0_preset="mixed", psi0_amplitude=0.05)
-        assert np.min(geom.omega0.det()) > 0.0
-        assert np.min(geom.omega0.bb) > 0.0
+        omega0 = make(psi0_preset="mixed", psi0_amplitude=0.05).initial_form()
+        assert np.min(omega0.det()) > 0.0
+        assert np.min(omega0.bb) > 0.0
 
     def test_product_preset_amplitudes(self):
         # Both base axes are active in this preset so its Hessian is twice
@@ -59,26 +60,28 @@ class TestInitialForm:
         with pytest.raises(SingularMetric):
             make(psi0_preset="product", psi0_amplitude=0.05)
         geom = make(psi0_preset="product", psi0_amplitude=0.02)
-        assert np.min(geom.omega0.det()) > 0.1
+        assert np.min(geom.initial_form().det()) > 0.1
 
 
 class TestReferenceFamilies:
     def test_hat_starts_at_initial_form(self):
         geom = make(psi0_preset="mixed", base_scale=1.3, fiber_scale=2.0)
-        h0 = geom.hat(0.0)
-        assert np.allclose(h0.bb, np.broadcast_to(geom.omega0.bb, h0.bb.shape))
-        assert np.allclose(h0.ff, np.broadcast_to(geom.omega0.ff, h0.ff.shape))
+        omega0 = geom.initial_form()
+        h0 = hat(omega0, geom.chi, 0.0)
+        assert np.allclose(h0.bb, np.broadcast_to(omega0.bb, h0.bb.shape))
+        assert np.allclose(h0.ff, np.broadcast_to(omega0.ff, h0.ff.shape))
 
     def test_hat_limits_to_base_form(self):
         geom = make(psi0_preset="mixed", fiber_scale=3.0)
-        h = geom.hat(40.0)
+        h = hat(geom.initial_form(), geom.chi, 40.0)
         assert np.max(np.abs(h.bb - geom.chi)) < 1e-15
         assert np.max(np.abs(h.ff)) < 1e-15
 
     def test_families_coincide_in_normalized_case(self):
         geom = make()  # psi0 zero, unit scales
+        omega0 = geom.initial_form()
         for t in (0.0, 0.7, 3.0):
-            a, b = geom.hat(t), geom.tilde(t)
+            a, b = hat(omega0, geom.chi, t), geom.tilde(t)
             assert np.max(np.abs(a.bb - b.bb)) < 1e-14
             assert np.max(np.abs(a.ff - b.ff)) < 1e-14
             assert np.max(np.abs(a.bf - b.bf)) < 1e-14
@@ -91,31 +94,51 @@ class TestReferenceFamilies:
 class TestFlatFiber:
     def test_gflat_is_fiber_scale(self):
         geom = make(psi0_preset="product", psi0_amplitude=0.015, fiber_scale=2.5)
-        assert np.max(np.abs(geom.flat_fiber.g_flat - 2.5)) < 1e-12
+        assert np.max(np.abs(geom.g_flat - 2.5)) < 1e-12
 
     def test_rho_differs_from_psi0_by_fiber_constant(self):
         geom = make(psi0_preset="mixed", psi0_amplitude=0.05)
-        s = geom.flat_fiber.rho + geom.psi0
+        s = geom.rho + geom.psi0
         drift = s - s.mean(axis=(2, 3), keepdims=True)
         assert np.max(np.abs(drift)) < 1e-12
 
     def test_rho_weighted_mean_pinned(self):
         geom = make(psi0_preset="product", psi0_amplitude=0.02)
-        g0 = np.broadcast_to(geom.omega0.ff, geom.grid.shape)
+        g0 = np.broadcast_to(geom.initial_form().ff, geom.grid.shape)
         w = g0 / g0.sum(axis=(2, 3), keepdims=True)
-        m = np.sum(geom.flat_fiber.rho * w, axis=(2, 3))
+        m = np.sum(geom.rho * w, axis=(2, 3))
         assert np.max(np.abs(m)) < 1e-13
 
     def test_rho_zero_for_base_only_potential(self):
         geom = make(psi0_preset="base_cos", psi0_amplitude=0.02)
-        assert np.max(np.abs(geom.flat_fiber.rho)) < 1e-12
+        assert np.max(np.abs(geom.rho)) < 1e-12
 
 
 class TestVolumeDensity:
     def test_density_closed_form(self):
         geom = make(fiber_scale=3.0, psi0_preset="mixed", psi0_amplitude=0.03)
-        assert np.max(np.abs(geom.volume.density - 3.0 * geom.chi)) < 1e-11
+        assert np.max(np.abs(geom.density - 3.0 * geom.chi)) < 1e-11
 
-    def test_total_integral(self):
-        geom = make(fiber_scale=2.0)
-        assert abs(geom.volume.total_integral - 2.0 * np.mean(geom.chi2)) < 1e-13
+
+def _retained_bytes(obj, owners):
+    """nbytes of every array obj holds, through its attributes, by owner."""
+    for name, value in vars(obj).items():
+        if name == "grid":  # shared with the flow, not the geometry's own
+            continue
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            owners[id(value)] = value.nbytes
+        elif hasattr(value, "__dict__"):
+            _retained_bytes(value, owners)
+    return owners
+
+
+def test_geometry_keeps_only_what_a_run_reads():
+    # psi_0, its half spectrum and rho are the whole-grid arrays a run reads
+    # (about 3.14 fields); omega_0 is rebuilt by initial_form, not kept.
+    geom = make(psi0_preset="mixed")
+    fields = sum(_retained_bytes(geom, {}).values()) / (8 * geom.psi0.size)
+    assert fields <= 3.5
+    for name in ("omega0", "chi_form", "fiber_form", "flat_fiber", "volume"):
+        assert not hasattr(geom, name), name
