@@ -75,7 +75,8 @@ class HermitianField:
 
     bb and ff are real arrays, bf is complex; the fb block is conj(bf).
     Supports addition and scaling by real scalars/arrays, with numpy
-    broadcasting.
+    broadcasting.  det and the helpers below accumulate in place, so bb * ff
+    must span the shape of every block, as it does for every caller.
     """
 
     bb: np.ndarray
@@ -90,35 +91,66 @@ class HermitianField:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def from_parts(cls, bb, re, im, ff) -> "HermitianField":
+        """The field with bf = re + i im, filled in place: no complex temporary."""
+        bf = np.empty(re.shape, dtype=complex)
+        bf.real = re
+        bf.imag = im
+        return cls(bb, bf, ff)
+
     def det(self) -> np.ndarray:
-        return self.bb * self.ff - np.abs(self.bf) ** 2
+        out = self.bb * self.ff
+        sq = np.abs(self.bf)
+        sq **= 2
+        out -= sq
+        return out
 
 
 def wedge_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """Top-degree coefficient of the wedge a ^ b, as a real field.
 
-    Symmetric in its arguments; wedge_density(a, a) == 2 * a.det().
+    Symmetric in its arguments; wedge_density(a, a) == 2 * a.det().  The
+    cross term Re(a.bf conj(b.bf)) is taken in real parts: bit-identical to
+    the complex product where b.bf is zero, as on the comparison form.
     """
-    return a.bb * b.ff + a.ff * b.bb - 2.0 * np.real(a.bf * np.conj(b.bf))
+    out = a.bb * b.ff
+    out += a.ff * b.bb
+    cross = a.bf.real * b.bf.real
+    cross += a.bf.imag * b.bf.imag
+    cross *= 2.0
+    out -= cross
+    return out
 
 
 def trace_with(g: HermitianField, ref: HermitianField) -> np.ndarray:
     """Trace of g against ref (contraction with the inverse of ref)."""
-    return wedge_density(g, ref) / ref.det()
+    out = wedge_density(g, ref)
+    out /= ref.det()
+    return out
 
 
 def relative_eigen_bounds(g: HermitianField, ref: HermitianField):
     """Pointwise generalized eigenvalue fields of g relative to ref.
 
     Solves det(g - lam * ref) = 0 in closed form; ref must be positive.
-    Returns (lam_min, lam_max) as real arrays.
+    Returns (lam_min, lam_max) as real arrays; holds at most three whole
+    fields at once on a base-only ref, the two results included.
     """
     a = ref.det()
     b = wedge_density(g, ref)
     c = g.det()
-    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
-    root = np.sqrt(disc)
-    return (b - root) / (2.0 * a), (b + root) / (2.0 * a)
+    c *= 4.0 * a
+    disc = b * b
+    disc -= c
+    del c
+    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    a *= 2.0
+    lo = b - root
+    lo /= a
+    hi = np.add(b, root, out=root)
+    hi /= a
+    return lo, hi
 
 
 @dataclass
@@ -247,7 +279,7 @@ class SpectralGrid:
     def spectral_hessian(self, spec: np.ndarray) -> HermitianField:
         """hessian() of the real field whose rfft is `spec`."""
         bb, ff, re, im = [self.irfft(s * spec) for s in self._half_hessian_syms]
-        return HermitianField(bb, re + 1j * im, ff)
+        return HermitianField.from_parts(bb, re, im, ff)
 
     # -- fiber-only operators ---------------------------------------------
 

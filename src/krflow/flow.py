@@ -44,6 +44,15 @@ Each interval between events is split into equal steps of at most
 dt_max, and the step ratio keeps BDF2's zero-stability bound 1 + sqrt(2).
 The stepper halves dt and retries when positivity of the evolving form is
 lost, up to max_halvings times.
+
+Working set, in whole real fields (traced at 16^4 and 32^4; a half
+spectrum is about one field).  A run keeps four half spectra (u, f and
+their previous level), and F' and the four blocks until a sample or the
+next step lets go of them.  A step adds at most 7.4: the candidate, w, one
+buffer for the products s * w and the four blocks (det and the midranges
+share one scratch, and F' takes det's buffer).  A sample adds about 3: bf,
+then the eigenvalue bounds; the rhs reuses the buffer of F'.  A run peaks at
+14.3-14.7 fields.
 """
 
 from __future__ import annotations
@@ -64,13 +73,16 @@ def sample_times(t_end: float, interval: float) -> list:
     """Sorted sample times: the multiples k * interval <= t_end, plus t_end.
 
     A multiple may exceed t_end by 1e-12 (the run's event slack), so a
-    commensurate interval ends exactly on its last multiple; times are
-    rounded to 12 decimals.
+    commensurate interval ends exactly on its last multiple, and t_end
+    joins only if a run would step past the last multiple to reach it;
+    times are rounded to 12 decimals.
     """
-    times = {round(k * interval, 12) for k in range(1, int(t_end / interval) + 2)
-             if k * interval <= t_end + 1e-12}
-    times.add(round(t_end, 12))
-    return sorted(times)
+    times = sorted({round(k * interval, 12) for k in range(1, int(t_end / interval) + 2)
+                    if k * interval <= t_end + 1e-12})
+    end = round(t_end, 12)
+    if not times or times[-1] < end - 1e-12:
+        times.append(end)
+    return times
 
 
 @dataclass
@@ -82,8 +94,15 @@ class FlowOptions:
     sample_interval: float = 0.05
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt_max <= 0 or self.sample_interval <= 0:
-            raise ConfigInvalid("t_end, dt_max and sample_interval must be positive")
+        for name in ("t_end", "dt_max", "sample_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigInvalid(f"{name} must be finite and positive, got {value!r}")
+        floor = self.positivity_floor
+        if not (math.isfinite(floor) and floor >= 0):
+            raise ConfigInvalid(f"positivity_floor must be finite and >= 0, got {floor!r}")
+        if not isinstance(self.max_halvings, int) or self.max_halvings < 0:
+            raise ConfigInvalid(f"max_halvings must be an integer >= 0, got {self.max_halvings!r}")
 
 
 # Zero-stability bound of variable-step BDF2 on the step ratio dt / dt_prev
@@ -122,6 +141,10 @@ class _Imex2Stepper:
     Step ratios r = dt / dt_prev obey the zero-stability bound r <= 1 +
     sqrt(2): a longer step (after a halving) restarts from the one-step
     start-up instead.
+
+    The update holds about 3.9 whole fields (lam, inv and one coefficient
+    buffer; the candidate and one complex scratch) and keeps only the
+    candidate while evaluating it.
     """
 
     def __init__(self, problem: "FlowProblem"):
@@ -130,28 +153,23 @@ class _Imex2Stepper:
         self.u = np.zeros(np.broadcast_shapes(s_bb.shape, s_ff.shape), dtype=complex)
         self.f = None         # rfft(F') at the accepted point, once evaluated
         self.mu = None        # proxy midranges there
-        self.forcing = None   # F' there, until the next step starts
+        self.forcing = None   # F' there, until a sample or the next step
         self.blocks = None    # (bb, Re bf, Im bf, ff) there, likewise
         self.u_prev = self.f_prev = self.h_prev = None
 
     def _evaluate(self, u, t):
         """(rfft(F'), midranges, F', blocks) of the state u at time t."""
-        forcing, (bb, re, im, ff, det) = self.problem._forcing(u, t)
+        forcing, blocks, mu = self.problem._forcing(u, t)
         f = self.problem.grid.rfft(forcing)
         # The zero mode is the sum of all entries of F': a +inf block entry
         # keeps every minimum finite but shows up here, on this step.
         if not np.isfinite(f.flat[0]):
             raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
-        coef = ff / det
-        mu_b = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
-        np.divide(bb, det, out=coef)
-        mu_f = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
-        return f, (mu_b, mu_f), forcing, (bb, re, im, ff)
+        return f, mu, forcing, blocks
 
     def __call__(self, t, dt):
         if self.f is None:
             self.f, self.mu, self.forcing, self.blocks = self._evaluate(self.u, t)
-        self.forcing = self.blocks = None  # only a sample right after a step reads them
 
         r = 0.0
         if self.u_prev is not None:
@@ -162,12 +180,27 @@ class _Imex2Stepper:
         s_bb, s_ff, _, _ = self.problem.grid._half_hessian_syms
         mu_b, mu_f = self.mu
         lam = mu_b * s_bb + mu_f * s_ff  # the symbol of M'
-        inv = 1.0 / ((a0 + dt) - dt * lam)
-        new = ((1.0 + r) * (1.0 - dt * lam) * inv) * self.u
-        new += (dt * (1.0 + r) * inv) * self.f
+        # Each factor is evaluated in the formula's order; the four terms go
+        # through one real coefficient buffer and one complex scratch.
+        inv = (a0 + dt) - dt * lam
+        np.divide(1.0, inv, out=inv)
+        coef = 1.0 - dt * lam
+        coef *= 1.0 + r
+        coef *= inv
+        new = coef * self.u
+        scratch = np.multiply(inv, dt * (1.0 + r), out=coef) * self.f
+        new += scratch
         if r:
-            new += ((dt * r * lam - a2) * inv) * self.u_prev
-            new -= (dt * r * inv) * self.f_prev
+            np.multiply(lam, dt * r, out=coef)
+            coef -= a2
+            coef *= inv
+            new += np.multiply(coef, self.u_prev, out=scratch)
+            new -= np.multiply(np.multiply(inv, dt * r, out=coef), self.f_prev, out=scratch)
+        del lam, inv, coef, scratch
+        # Only a sample reads F' and the blocks.  Dropped before the update,
+        # they left a hole atop the heap that glibc returned to the OS and the
+        # step faulted back in (661 page faults a 16^4 step, against 5).
+        self.forcing = self.blocks = None
 
         f, mu, forcing, blocks = self._evaluate(new, t + dt)
         self.u_prev, self.f_prev, self.h_prev = self.u, self.f, dt
@@ -177,9 +210,14 @@ class _Imex2Stepper:
         return self.problem.grid.irfft(self.u)
 
     def sample_rhs(self, phi):
-        """The rhs and metric blocks at the accepted point, with no transform."""
-        bb, re, im, ff = self.blocks
-        return self.forcing - phi, HermitianField(bb, re + 1j * im, ff)
+        """The rhs and metric blocks at the accepted point, with no transform.
+
+        The rhs reuses the buffer of F', and the stepper lets go of F' and the blocks.
+        """
+        rhs, (bb, re, im, ff) = self.forcing, self.blocks
+        self.forcing = self.blocks = None
+        rhs -= phi
+        return rhs, HermitianField.from_parts(bb, re, im, ff)
 
 
 @dataclass
@@ -226,14 +264,18 @@ class FlowProblem:
 
         The same formula the imex2 stepper steps with (see _forcing).
         """
-        rhs, (bb, re, im, ff, _) = self._forcing(self.grid.rfft(phi), t)
+        rhs, (bb, re, im, ff), _ = self._forcing(self.grid.rfft(phi), t)
         rhs -= phi
         if not np.all(np.isfinite(rhs)):
             raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
-        return rhs, HermitianField(bb, re + 1j * im, ff)
+        return rhs, HermitianField.from_parts(bb, re, im, ff)
 
     def _forcing(self, u, t):
-        """F' = t + log det g - log Omega and (bb, Re bf, Im bf, ff, det) of g.
+        """F', the blocks (bb, Re bf, Im bf, ff) of g and the proxy midranges.
+
+        F' = t + log det g - log Omega; the midranges (mu_b, mu_f) are those
+        of the inverse-metric coefficients ff / det and bb / det, which
+        _Imex2Stepper takes as its proxy.
 
         g = hat(t) + H(phi) with u = rfft(phi).  hat(t) + H(phi) = (a_t chi, 0,
         e^{-t} fiber_scale) + H(phi + e^{-t} psi_0) with a_t = 1 + (base_scale
@@ -251,13 +293,16 @@ class FlowProblem:
         e = math.exp(-t)
         w = geom.psi0_spec * e
         w += u
-        bb, ff, re, im = [grid.irfft(s * w) for s in grid._half_hessian_syms]
+        sw = np.empty_like(w)
+        bb, ff, re, im = [grid.irfft(np.multiply(s, w, out=sw)) for s in grid._half_hessian_syms]
         del w
         bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
         ff += e * geom.spec.fiber_scale * geom.g_fiber
         det = bb * ff
-        det -= re * re
-        det -= im * im
+        del sw  # after det took w's place: 1100 page faults a 32^4 step, not 4000
+        scratch = np.multiply(re, re)
+        det -= scratch
+        det -= np.multiply(im, im, out=scratch)
         mins = (float(np.min(bb)), float(np.min(ff)), float(np.min(det)))
         if any(math.isnan(m) or m == -math.inf for m in mins):
             raise NonFiniteValue(f"evolving form lost finiteness at t={t:.6f}")
@@ -266,10 +311,18 @@ class FlowProblem:
                 f"evolving form left the positive cone at t={t:.6f}: "
                 "min bb {:.3e}, min ff {:.3e}, min det {:.3e}".format(*mins)
             )
-        forcing = np.log(det)
+        # The proxy's midranges, before det's buffer takes F'.  A +inf entry
+        # makes them NaN; it fails the stepper's check on rfft(F') right after.
+        with np.errstate(invalid="ignore"):
+            coef = np.divide(ff, det, out=scratch)
+            mu_b = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
+            np.divide(bb, det, out=coef)
+            mu_f = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
+        del scratch, coef
+        forcing = np.log(det, out=det)
         forcing += t
         forcing -= self.log_omega
-        return forcing, (bb, re, im, ff, det)
+        return forcing, (bb, re, im, ff), (mu_b, mu_f)
 
     # -- stepping ----------------------------------------------------------
 

@@ -310,6 +310,25 @@ class TestSimulate:
         assert rc == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, name", [
+        ("max_halvings = -1", "max_halvings"),
+        ("dt_max = nan", "dt_max"),
+        ("dt_sample = nan", "sample_interval"),
+        ("t_end = nan", "t_end"),
+        ("t_end = inf", "t_end"),
+        ("positivity_threshold = nan", "positivity_floor"),
+    ])
+    def test_flow_options_outside_their_contract_exit_two(self, tmp_path, capsys, line, name):
+        # Each of these once ended in a traceback, never ended (t_end = inf)
+        # or silently turned the eigenvalue floor off (a NaN threshold).
+        out = tmp_path / "o"
+        ini = _write(tmp_path, "flow.ini", "[geometry]\nbase_grid = 8\nfiber_grid = 8\n"
+                     f"[flow]\n{line}\n[output]\ndirectory = {out}\n")
+        assert cli.main(["--config", ini, "--quiet", "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and name in err
+        assert not out.exists()
+
     def test_octagon_mesh_is_not_held_to_the_torus_grid_rule(self, tmp_path, capsys):
         # base_grid = 48 is the documented smallest octagon mesh, though not
         # a power of two; below 48 the octagon grid itself rejects it.

@@ -206,6 +206,32 @@ class TestWedgeAlgebra:
             assert abs(lo[ix] - w[0]) < 1e-10
             assert abs(hi[ix] - w[1]) < 1e-10
 
+    def test_in_place_helpers_are_the_complex_formulas_on_a_comparison_form(self):
+        # Shaped like geometry.tilde: a base-only bb and a zero bf and a
+        # constant ff of shape (1, 1, 1, 1).  There the real cross term and
+        # the in-place accumulation are bit-identical to the complex formulas.
+        g, _ = self._random_pair(26)
+        rng = np.random.default_rng(26)
+        ref = HermitianField(2.0 + 0.3 * rng.normal(size=(5, 5, 1, 1)),
+                             np.zeros((1, 1, 1, 1)) + 0.0j, np.full((1, 1, 1, 1), 0.7))
+        a = ref.bb * ref.ff - np.abs(ref.bf) ** 2
+        b = g.bb * ref.ff + g.ff * ref.bb - 2.0 * np.real(g.bf * np.conj(ref.bf))
+        c = g.bb * g.ff - np.abs(g.bf) ** 2
+        root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        assert np.array_equal(g.det(), c)
+        assert np.array_equal(ref.det(), a)
+        assert np.array_equal(wedge_density(g, ref), b)
+        assert np.array_equal(trace_with(g, ref), b / a)
+        lo, hi = relative_eigen_bounds(g, ref)
+        assert np.array_equal(lo, (b - root) / (2.0 * a))
+        assert np.array_equal(hi, (b + root) / (2.0 * a))
+
+    def test_from_parts_is_re_plus_i_im(self):
+        rng = np.random.default_rng(27)
+        re, im = rng.normal(size=(2, 5, 5, 4, 4))
+        field = HermitianField.from_parts(None, re, im, None)
+        assert np.array_equal(field.bf, re + 1j * im)
+
     def test_eigen_bounds_identity(self):
         _, ref = self._random_pair(25)
         lo, hi = relative_eigen_bounds(ref, ref)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from krflow import flow
-from krflow.discretization import HermitianField, SpectralGrid
+from krflow.discretization import HermitianField, SpectralGrid, relative_eigen_bounds
 from krflow.errors import NonFiniteValue, PositivityLost
 from krflow.flow import (
     FlowOptions,
@@ -219,6 +220,15 @@ class TestRunMechanics:
         assert sample_times(1.0, 0.6) == [0.6, 1.0]
         assert sample_times(0.3, 0.7) == [0.3]
 
+    def test_t_end_within_the_event_slack_of_a_multiple_is_one_event(self):
+        # 0.1 and round(t_end, 12) = 0.100000000001 are one point to the run
+        # loop; as two events the second sample would take no step and find
+        # the stepper's F' and blocks already taken by the first.
+        t_end = 0.1000000000006
+        assert sample_times(t_end, 0.05) == [0.05, 0.1]
+        res = problem().run(FlowOptions(t_end=t_end, dt_max=0.01, sample_interval=0.05))
+        assert [s.t for s in res.states] == [0.05, 0.1]
+
     def test_commensurate_intervals_keep_their_step_counts(self):
         # the separable32 workload's 20 steps; generic16's 32 a sample
         p = problem()
@@ -226,6 +236,59 @@ class TestRunMechanics:
         assert run.total_steps == 20
         run = p.run(FlowOptions(t_end=0.4, dt_max=0.00625, sample_interval=0.2))
         assert [s.steps for s in run.states] == [32, 64]
+
+
+def _traced_fields(fn, n=16):
+    """Traced peak of fn() above the memory traced when it starts, in whole real fields."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (8 * n**4)
+
+
+class TestWorkingSet:
+    # 16^4 on mixed data.  The state a run keeps is four half spectra; the
+    # limits sit above the in-place stepper (14.7, 7.4 and 3.1 fields) and
+    # below the stepper that built each term and block anew (21.7, 10.4 and
+    # 10.1).
+
+    def test_run_peak(self):
+        p = problem(16, psi0_preset="mixed")
+        opts = FlowOptions(t_end=0.05, dt_max=0.00625, sample_interval=0.025)
+        assert _traced_fields(lambda: p.run(opts)) <= 16.0
+
+    def _stepped(self):
+        p = problem(16, psi0_preset="mixed")
+        stepper = _Imex2Stepper(p)
+        stepper(0.0, 0.00625)
+        stepper(0.00625, 0.00625)
+        return p, stepper
+
+    def test_one_step(self):
+        _, stepper = self._stepped()
+        assert _traced_fields(lambda: stepper(0.0125, 0.00625)) <= 8.0
+
+    def test_one_sample(self):
+        # The blocks and F' are traced, as in a run, so a sample that lets
+        # go of them is credited for it.
+        p, stepper = self._stepped()
+        tracemalloc.start()
+        try:
+            stepper(0.0125, 0.00625)
+            phi = stepper.phi()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            _, g = stepper.sample_rhs(phi)
+            relative_eigen_bounds(g, p.geometry.tilde(0.01875))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8 * 16**4) <= 4.0
+        assert stepper.forcing is None and stepper.blocks is None
 
 
 def _recorded_ratios(monkeypatch):
