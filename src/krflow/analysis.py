@@ -30,11 +30,11 @@ The fast per-sample path (MonitorEngine) expresses every derivative of g
 through one rfft of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
 non-product content of g) plus closed-form derivatives of the base form:
 23 distinct whole-grid fields, stacked in one array in _FIELDS order.
-Everything after that runs one first-axis base index (a slab of
-n_base * n_fiber^2 points) at a time, so the working set of the pointwise
-algebra stays cache-sized.  A slab's tensors are read out of the stack by
+Everything after that runs on blocks of at most _BLOCK_POINTS grid points
+(a base slab, or rows of one), so the pointwise algebra's working set stays
+near 7 MiB as slabs grow.  A block's tensors are read out of the stack by
 integer index tables built at import, one field index per component.  On
-each slab g = L L* is factored by the closed-form 2x2 Cholesky and every
+each block g = L L* is factored by the closed-form 2x2 Cholesky and every
 tensor index is moved into the orthonormal frame E = L^{-1}: holomorphic
 slots take E, antiholomorphic slots conj(E), since g^{-1} = E* E.  Each
 norm is then a plain sum of squared moduli, nonnegative by construction.
@@ -135,6 +135,10 @@ def _index_tables():
 
 _D, _DD, _T, _M2 = _index_tables()
 
+# Grid points per block of the pointwise algebra: a 16^4 slab, 8 rows of a
+# 32^4 one (whole 32^4 slabs made a record 2.8-3.0 s, against 2.2-2.5 s).
+_BLOCK_POINTS = 8192
+
 
 # -- monitor record --------------------------------------------------------
 
@@ -170,13 +174,14 @@ class MonitorRecord:
 class MonitorEngine:
     """Per-sample monitor evaluation for one FlowProblem.
 
-    Precomputes base-form derivative tables and the half-spectrum symbol
-    products that turn derivatives of g into two real inverse transforms of
-    the single rfft of  w = e^{-t} psi_0 + phi  per field.  Each base slab's
-    D, DD, T and M2 are fancy-indexed out of the stack of the 23 fields by
-    _D, _DD, _T and _M2 and contracted in the pointwise orthonormal frame of
-    g: the only whole-grid arrays are that stack and the three output
-    fields.  The sample fibers' monitors take one batch of 2D transforms.
+    Precomputes base-form derivative tables.  A record forms, one field at a
+    time, the half-spectrum symbol product that turns a derivative of g into
+    two real inverse transforms of the single rfft of  w = e^{-t} psi_0 +
+    phi.  Each block's D, DD, T and M2 are fancy-indexed out of the stack of
+    the 23 fields by _D, _DD, _T and _M2 and contracted in the pointwise
+    orthonormal frame of g: the only whole-grid arrays are that stack, the
+    three output fields and one field's symbol and product.  The sample
+    fibers' monitors take one batch of 2D transforms.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -211,10 +216,8 @@ class MonitorEngine:
         self.fiber_scales = np.array(
             [[g**k for g in self.gflat.ravel().tolist()] for k in (2, 3, 4, 1)])
 
-        self._symbols = self._build_symbol_products()
-
-    def _build_symbol_products(self):
-        """Real symbol pairs (parity, a, b) of the _FIELDS, in their order.
+    def _symbol(self, holo, anti):
+        """Real symbol pair (parity, a, b) of the field d_{holo} dbar_{anti} w.
 
         A product of n first-derivative symbols is even or odd under k -> -k
         with n, so the field is irfft(a * spec) + 1j irfft(b * spec) with
@@ -224,13 +227,10 @@ class MonitorEngine:
         sh = self.grid.sym_half
         s1 = (sh[("holo", "b")], sh[("holo", "f")])
         s1b = (sh[("anti", "b")], sh[("anti", "f")])
-        table = []
-        for holo, anti in _FIELDS:
-            sym = math.prod([s1[m] for m in holo] + [s1b[q] for q in anti])
-            parity = (len(holo) + len(anti)) % 2
-            a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
-            table.append((parity, np.ascontiguousarray(a), np.ascontiguousarray(b)))
-        return table
+        sym = math.prod([s1[m] for m in holo] + [s1b[q] for q in anti])
+        parity = (len(holo) + len(anti)) % 2
+        a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
+        return parity, np.ascontiguousarray(a), np.ascontiguousarray(b)
 
     # .. per-sample record ................................................
 
@@ -245,10 +245,11 @@ class MonitorEngine:
         # inverse transforms.
         specs = (w_spec, 1j * w_spec)
         f = np.empty((len(_FIELDS),) + shape, dtype=np.complex128)
-        for field, (parity, a, b) in zip(f, self._symbols):
-            field.real = grid.irfft(a * specs[parity])
-            field.imag = grid.irfft(b * specs[parity])
-        del w_spec, specs
+        for field, (holo, anti) in zip(f, _FIELDS):
+            parity, a, b = self._symbol(holo, anti)
+            field.real = grid.irfft(a * specs[parity], overwrite=True)
+            field.imag = grid.irfft(b * specs[parity], overwrite=True)
+        del w_spec, specs, a, b
         # The base form a_t * chi enters only the pure-base components.
         f[_D[0, 0, 0]] += a_t * self.dchi
         f[_DD[0, 0, 0, 0]] += a_t * self.ddbar_chi
@@ -256,18 +257,21 @@ class MonitorEngine:
 
         s_field, rm2_field, grad2_field = np.empty((3,) + shape)
         bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
+        rows = max(1, _BLOCK_POINTS // (shape[2] * shape[3]))
         for ib in range(shape[0]):
-            s_field[ib], rm2_field[ib], grad2_field[ib] = self._slab_norms(
-                f[:, ib], ib, bb[ib], bf[ib], ff[ib])
+            for jb in range(0, shape[1], rows):
+                at = np.s_[ib, jb:jb + rows]
+                s_field[at], rm2_field[at], grad2_field[at] = self._slab_norms(
+                    f[(slice(None),) + at], at, bb[at], bf[at], ff[at])
         return s_field, rm2_field, grad2_field
 
-    def _slab_norms(self, f, ib, bb, bf, ff):
-        """(s, rm2, grad2) on base slab ib from its derivative fields f.
+    def _slab_norms(self, f, at, bb, bf, ff):
+        """(s, rm2, grad2) on the block `at` of grid points from its derivative fields f.
 
         Tensors hold their components on leading axes of length 2, in the
         index order of the stacked tensors of oracle.py's generic path.
         """
-        gamma, dgamma_h, dgamma_a = self.gamma[ib], self.dgamma_h[ib], self.dgamma_a[ib]
+        gamma, dgamma_h, dgamma_a = self.gamma[at], self.dgamma_h[at], self.dgamma_a[at]
         g0 = np.stack((bb, bf))  # g_{0 lbar}
         d, dd, t, m2 = f[_D], f[_DD], f[_T], f[_M2]
 

@@ -265,8 +265,12 @@ class SpectralGrid:
     def rfft(self, f: np.ndarray) -> np.ndarray:
         return sfft.rfftn(np.broadcast_to(f, self.shape), workers=self._workers)
 
-    def irfft(self, spec: np.ndarray) -> np.ndarray:
-        return sfft.irfftn(spec, s=self.shape, workers=self._workers)
+    def irfft(self, spec: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The real field whose rfft is spec, bit-identical to irfftn (the two
+        passes' scalings are powers of two); overwrite=True clobbers spec
+        instead of copying it, as irfftn always does."""
+        spec = sfft.ifftn(spec, axes=(0, 1, 2), overwrite_x=overwrite, workers=self._workers)
+        return sfft.irfft(spec, n=self.shape[-1], axis=-1, workers=self._workers)
 
     def hessian(self, phi: np.ndarray) -> HermitianField:
         """Mixed complex Hessian of a real field, as a HermitianField.
@@ -278,7 +282,7 @@ class SpectralGrid:
 
     def spectral_hessian(self, spec: np.ndarray) -> HermitianField:
         """hessian() of the real field whose rfft is `spec`."""
-        bb, ff, re, im = [self.irfft(s * spec) for s in self._half_hessian_syms]
+        bb, ff, re, im = [self.irfft(s * spec, overwrite=True) for s in self._half_hessian_syms]
         return HermitianField.from_parts(bb, re, im, ff)
 
     # -- fiber-only operators ---------------------------------------------

@@ -48,8 +48,9 @@ def _base_hessian_oracle(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
     return 0.25 * (_roll_d2(f, 0, hb) + _roll_d2(f, 1, hb))
 
 
-def _bf_plane_oracle(grid: SpectralGrid, phi: np.ndarray, k: int) -> np.ndarray:
-    """Second-order bf block of the 4D field phi on its u-plane k.
+def _bf_plane_oracle(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
+    """Second-order bf block of a 4D field on one u-plane, from f = its u-planes
+    k + 1, k and k - 1 (in that order, on axis 2).
 
     The whole-grid roll stencil restricted to the plane: its rolls touch
     every axis, but u only by one cell (in dxu and dyu), so the plane needs
@@ -58,8 +59,6 @@ def _bf_plane_oracle(grid: SpectralGrid, phi: np.ndarray, k: int) -> np.ndarray:
     hb = 1.0 / grid.n_base
     hf = 1.0 / grid.n_fiber
     c, d = grid._fiber_coeffs
-    nf = grid.n_fiber
-    f = phi[:, :, [(k + 1) % nf, k, (k - 1) % nf]]
     dx = _roll_d1(f, 0, hb)
     dy = _roll_d1(f, 1, hb)
     dxu = (dx[:, :, 0] - dx[:, :, 2]) / (2.0 * hf)
@@ -79,29 +78,30 @@ def hessian_refinement_error(n: int, tau: complex = 1j, seed: int | None = None)
     block is one irfft of symbol x spectrum, and the matching roll block is
     built slab by slab along an axis its rolls do not touch (bb over u, ff
     over x) or, for bf, whose rolls touch every axis, on u-planes with their
-    two neighbours.  Besides the field and its spectrum, at most two whole
-    fields (bf's Re and Im) and one irfft's product and work arrays are
+    two neighbours, each evaluated from its coordinates.  Besides the one
+    spectrum, at most two whole fields (bf's Re and Im) and one product are
     alive at once; the maximum is the whole-grid one, bit for bit.
     """
     grid = SpectralGrid(n, n, tau)
-    phi = _test_field(grid, seed)
-    spec = grid.rfft(phi)
-    s_bb, s_ff, s_re, s_im = grid._half_hessian_syms
+    s_bb, s_ff, s_re, s_im = grid._half_hessian_syms  # formed before the spectrum
+    spec = grid.rfft(_test_field(grid, seed))
 
     err = 0.0
     for sym, stencil, axis in ((s_bb, _base_hessian_oracle, 2), (s_ff, fiber_hessian_oracle, 0)):
-        block = grid.irfft(sym * spec)
+        block = grid.irfft(sym * spec, overwrite=True)
         for k in range(n):
             slab = (slice(None),) * axis + (k,)
-            err = max(err, float(np.max(np.abs(block[slab] - stencil(grid, phi[slab])))))
+            phi = _test_field(grid, seed, axis, [k]).squeeze(axis)
+            err = max(err, float(np.max(np.abs(block[slab] - stencil(grid, phi)))))
         del block
 
-    re = grid.irfft(s_re * spec)
+    re = grid.irfft(s_re * spec, overwrite=True)
     spec *= s_im
-    im = grid.irfft(spec)
+    im = grid.irfft(spec, overwrite=True)
     del spec
     for k in range(n):
-        gap = re[:, :, k] + 1j * im[:, :, k] - _bf_plane_oracle(grid, phi, k)
+        planes = _test_field(grid, seed, 2, [(k + 1) % n, k, (k - 1) % n])
+        gap = re[:, :, k] + 1j * im[:, :, k] - _bf_plane_oracle(grid, planes)
         err = max(err, float(np.max(np.abs(gap))))
     return err
 
@@ -241,8 +241,13 @@ class OracleReport:
         return f"[{tag}] {self.name}: measured={self.measured:.3e} tol={self.tolerance:.3e} {self.detail}"
 
 
-def _test_field(grid: SpectralGrid, seed: int | None = None) -> np.ndarray:
-    x, y, u, v = grid.coords
+def _test_field(grid: SpectralGrid, seed: int | None = None, axis: int = 0,
+                planes=None) -> np.ndarray:
+    """The oracles' smooth test field, or only its planes (a list) along axis."""
+    coords = list(grid.coords)
+    if planes is not None:
+        coords[axis] = coords[axis].take(planes, axis)
+    x, y, u, v = coords
     tp = 2.0 * np.pi
     out = (
         0.3 * np.cos(tp * x) * np.cos(tp * y)
@@ -256,7 +261,7 @@ def _test_field(grid: SpectralGrid, seed: int | None = None) -> np.ndarray:
             kx, ky, ku, kv = rng.integers(-2, 3, size=4)
             amp, phase = 0.05 * rng.random(), tp * rng.random()
             out = out + amp * np.cos(tp * (kx * x + ky * y + ku * u + kv * v) + phase)
-    return np.ascontiguousarray(np.broadcast_to(out, grid.shape))
+    return np.ascontiguousarray(out)  # its terms together span all four axes
 
 
 # Relative FD-vs-spectral tolerance by grid size.  The fourth-order stencil
@@ -415,8 +420,9 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     Returns one report per check; the CLI prints them and fails the process
     if any is red.  Keep this cheap — it runs as a preflight.  With n_base
     and n_fiber at most 32 its memory is set by check 1's fine grid, 2 *
-    min(n_base, 32) points a side, on which hessian_refinement_error keeps
-    about five whole fields alive at once.  On larger grids check 2 sets it:
+    min(n_base, 32) points a side, on which hessian_refinement_error peaks
+    at 4.2-4.8 whole fields traced (one spectrum, the grid's Hessian
+    symbols, a block and one product).  On larger grids check 2 sets it:
     on the uncapped n_base^2 x n_fiber^2 grid it holds the test field and
     its spectral Hessian (five fields, which check 3 reads too) and forms
     the FD Hessian one block at a time, about 15 whole fields at most:
@@ -427,8 +433,8 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     # 1. Spectral Hessian vs dense oracle under refinement: order ~ 2.
     # The pair is capped at 32/64; up to 32^4 its fine grid sets the peak.
     # Measured with Python 3.11, numpy 2.4, scipy 1.17 on a 2-core x86-64
-    # box: run_battery(32, 32) peaks at 875 MB ru_maxrss in a fresh process
-    # (134 MB a real 64^4 field), run_battery(16, 16) at 44 MB traced.
+    # box: run_battery(32, 32) peaks at 602 MB ru_maxrss in a fresh process
+    # (134 MB a real 64^4 field), run_battery(16, 16) at 36 MB traced.
     n_lo = min(n_base, 32)
     errs = [hessian_refinement_error(n, tau, seed) for n in (n_lo, 2 * n_lo)]
     order = refinement_order(errs[0], errs[1])

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from krflow.discretization import (
     HermitianField,
@@ -294,6 +295,28 @@ class TestOracleBattery:
             blockwise = oracle.hessian_refinement_error(n, tau, seed=3)
             assert blockwise == pytest.approx(whole, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_refinement_error_is_the_whole_field_maximum(self, seed):
+        # The oracle takes the spectrum of the test field and then evaluates
+        # it slab by slab and plane by plane.  Its figure is the maximum over
+        # whole fields, bit for bit, and its traced peak is 4.8 whole fields
+        # of its 16^4 grid (5.8 when it held the test field throughout).
+        tracemalloc.start()
+        try:
+            err = oracle.hessian_refinement_error(16, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * 16**4) <= 5.0
+        grid = SpectralGrid(16, 16)
+        phi = oracle._test_field(grid, seed)
+        h = grid.hessian(phi)
+        bf = np.stack([oracle._bf_plane_oracle(grid, phi[:, :, [(k + 1) % 16, k, (k - 1) % 16]])
+                       for k in range(16)], axis=2)
+        assert err == max(float(np.max(np.abs(h.bb - oracle._base_hessian_oracle(grid, phi)))),
+                          float(np.max(np.abs(h.ff - oracle.fiber_hessian_oracle(grid, phi)))),
+                          float(np.max(np.abs(h.bf - bf))))
+
     def test_fd_check_is_the_whole_grid_gap(self):
         # Check 2 forms the FD Hessian block by block; its figure must be the
         # one the whole-grid FD Hessian gives, bit for bit.
@@ -349,6 +372,21 @@ class TestOracleBattery:
         report = oracle.fold_oracle(geom)
         assert not report.passed
         assert report.measured > 1e-3
+
+
+class TestInverseTransform:
+    @pytest.mark.parametrize("n_base, n_fiber", [(8, 8), (16, 16), (16, 32)])
+    def test_overwrite_is_irfftn_and_the_default_keeps_its_input(self, monkeypatch, n_base,
+                                                                 n_fiber):
+        # (16, 32) lies above _ONE_WORKER_MAX_POINTS: split across two workers.
+        monkeypatch.setitem(discretization._FFT_KW, "workers", 2)
+        grid = SpectralGrid(n_base, n_fiber, 0.3 + 1.1j)
+        spec = grid.rfft(np.random.default_rng(6).standard_normal(grid.shape))
+        want = sfft.irfftn(spec, s=grid.shape)
+        assert np.array_equal(grid.irfft(spec.copy(), overwrite=True), want)
+        kept = spec.copy()
+        assert np.array_equal(grid.irfft(spec), want)
+        assert np.array_equal(spec, kept)
 
 
 class TestTransformWorkers:

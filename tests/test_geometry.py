@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from krflow.analysis import MonitorEngine
 from krflow.discretization import SpectralGrid
 from krflow.errors import ConfigInvalid, SingularFiberMetric, SingularMetric
+from krflow.flow import FlowProblem
 from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow.oracle import hat
 
@@ -121,15 +123,17 @@ class TestVolumeDensity:
 
 
 def _retained_bytes(obj, owners):
-    """nbytes of every array obj holds, through its attributes, by owner."""
-    for name, value in vars(obj).items():
+    """nbytes of every array obj holds, through its attributes, lists and
+    tuples, by owner."""
+    items = enumerate(obj) if isinstance(obj, (list, tuple)) else vars(obj).items()
+    for name, value in items:
         if name == "grid":  # shared with the flow, not the geometry's own
             continue
         if isinstance(value, np.ndarray):
             while value.base is not None:
                 value = value.base
             owners[id(value)] = value.nbytes
-        elif hasattr(value, "__dict__"):
+        elif isinstance(value, (list, tuple)) or hasattr(value, "__dict__"):
             _retained_bytes(value, owners)
     return owners
 
@@ -142,3 +146,14 @@ def test_geometry_keeps_only_what_a_run_reads():
     assert fields <= 3.5
     for name in ("omega0", "chi_form", "fiber_form", "flat_fiber", "volume"):
         assert not hasattr(geom, name), name
+
+
+def test_monitor_engine_keeps_no_whole_grid_array_beyond_the_geometrys():
+    # The engine keeps base-only tables and the sample fibers' slices; it
+    # forms each derivative symbol during a record.  Its table of 46 symbol
+    # arrays held 19 whole fields at 16^4.
+    geom = make(psi0_preset="mixed")
+    own = _retained_bytes(MonitorEngine(FlowProblem(geom)), {})
+    for key in _retained_bytes(geom, {}):
+        del own[key]
+    assert sum(own.values()) / (8 * geom.psi0.size) < 0.25
