@@ -57,6 +57,7 @@ from .discretization import (
     HermitianField,
     SpectralGrid,
     relative_eigen_bounds,
+    row_blocks,
     trace_with,
 )
 from .errors import ConfigInvalid, InsufficientSamples
@@ -135,10 +136,6 @@ def _index_tables():
 
 _D, _DD, _T, _M2 = _index_tables()
 
-# Grid points per block of the pointwise algebra: a 16^4 slab, 8 rows of a
-# 32^4 one (whole 32^4 slabs made a record 2.8-3.0 s, against 2.2-2.5 s).
-_BLOCK_POINTS = 8192
-
 
 # -- monitor record --------------------------------------------------------
 
@@ -180,8 +177,8 @@ class MonitorEngine:
     phi.  Each block's D, DD, T and M2 are fancy-indexed out of the stack of
     the 23 fields by _D, _DD, _T and _M2 and contracted in the pointwise
     orthonormal frame of g: the only whole-grid arrays are that stack, the
-    three output fields and one field's symbol and product.  The sample
-    fibers' monitors take one batch of 2D transforms.
+    three output fields, one field's product and one path of symbols.  The
+    sample fibers' monitors take one batch of 2D transforms.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -216,21 +213,32 @@ class MonitorEngine:
         self.fiber_scales = np.array(
             [[g**k for g in self.gflat.ravel().tolist()] for k in (2, 3, 4, 1)])
 
-    def _symbol(self, holo, anti):
-        """Real symbol pair (parity, a, b) of the field d_{holo} dbar_{anti} w.
+    def _symbols(self):
+        """Real symbol pairs (index, parity, a, b) of the fields d_{holo} dbar_{anti} w.
 
         A product of n first-derivative symbols is even or odd under k -> -k
         with n, so the field is irfft(a * spec) + 1j irfft(b * spec) with
         real a, b: spec = w and (a, b) = (Re, Im) of the symbol when n is
         even (parity 0), spec = 1j w and (a, b) = (Im, -Re) when n is odd.
+        A symbol is the product of its factors, holo's then anti's, taken
+        from 1 left to right as math.prod takes it; walked depth-first, each
+        extends the longest prefix it shares with the last (32 products for
+        the 23 fields, not 86), and only that path is held.
         """
         sh = self.grid.sym_half
-        s1 = (sh[("holo", "b")], sh[("holo", "f")])
-        s1b = (sh[("anti", "b")], sh[("anti", "f")])
-        sym = math.prod([s1[m] for m in holo] + [s1b[q] for q in anti])
-        parity = (len(holo) + len(anti)) % 2
-        a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
-        return parity, np.ascontiguousarray(a), np.ascontiguousarray(b)
+        seqs = sorted((tuple(("holo", "bf"[m]) for m in holo)
+                       + tuple(("anti", "bf"[q]) for q in anti), index)
+                      for index, (holo, anti) in enumerate(_FIELDS))
+        partial = {(): 1}
+        for seq, index in seqs:
+            partial = {p: v for p, v in partial.items() if seq[:len(p)] == p}
+            for n in range(1, len(seq) + 1):
+                if seq[:n] not in partial:
+                    partial[seq[:n]] = partial[seq[:n - 1]] * sh[seq[n - 1]]
+            sym = partial[seq]
+            parity = len(seq) % 2
+            a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
+            yield index, parity, a, b
 
     # .. per-sample record ................................................
 
@@ -245,10 +253,9 @@ class MonitorEngine:
         # inverse transforms.
         specs = (w_spec, 1j * w_spec)
         f = np.empty((len(_FIELDS),) + shape, dtype=np.complex128)
-        for field, (holo, anti) in zip(f, _FIELDS):
-            parity, a, b = self._symbol(holo, anti)
-            field.real = grid.irfft(a * specs[parity], overwrite=True)
-            field.imag = grid.irfft(b * specs[parity], overwrite=True)
+        for index, parity, a, b in self._symbols():
+            f[index].real = grid.irfft(a * specs[parity], overwrite=True)
+            f[index].imag = grid.irfft(b * specs[parity], overwrite=True)
         del w_spec, specs, a, b
         # The base form a_t * chi enters only the pure-base components.
         f[_D[0, 0, 0]] += a_t * self.dchi
@@ -257,10 +264,9 @@ class MonitorEngine:
 
         s_field, rm2_field, grad2_field = np.empty((3,) + shape)
         bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
-        rows = max(1, _BLOCK_POINTS // (shape[2] * shape[3]))
         for ib in range(shape[0]):
-            for jb in range(0, shape[1], rows):
-                at = np.s_[ib, jb:jb + rows]
+            for rows in row_blocks(shape[1:]):
+                at = (ib, rows)
                 s_field[at], rm2_field[at], grad2_field[at] = self._slab_norms(
                     f[(slice(None),) + at], at, bb[at], bf[at], ff[at])
         return s_field, rm2_field, grad2_field

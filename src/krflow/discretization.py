@@ -51,6 +51,17 @@ _FFT_KW = {"workers": _usable_cpus()}
 # against 111-190 ms.  CHANGES.md has the figures for a monitor record.
 _ONE_WORKER_MAX_POINTS = 16**4
 
+# Grid points per block of pointwise algebra: the monitor record's slab
+# norms, the imex2 update, forcing and sample.  A 16^4 base slab, 8 rows of a
+# 32^4 one (whole 32^4 slabs made a record 2.8-3.0 s, against 2.2-2.5 s).
+_BLOCK_POINTS = 8192
+
+
+def row_blocks(shape):
+    """Slices of shape's leading axis, each at most _BLOCK_POINTS points (one row at least)."""
+    rows = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+
 
 def _wavenumbers(n: int) -> np.ndarray:
     """Angular wavenumbers 2*pi*m for a unit-period grid of n points."""

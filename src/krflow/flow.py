@@ -47,13 +47,13 @@ lost, up to max_halvings times.
 
 Working set, in whole real fields (traced at 16^4 and 32^4; a half
 spectrum is about one field).  A run keeps four half spectra (u, f and
-their previous level), and F' and the four blocks until a sample or the
-next step lets go of them.  A step adds at most 7.4: the candidate, w, one
-buffer for the products s * w and the four blocks (det and the midranges
-share one scratch, and F' takes det's buffer).  A sample adds about 3: bf,
-then the eigenvalue bounds; the rhs reuses the buffer of F'.  A run peaks at
-13.3-13.7 fields.  The four irfft overwrite their products instead of
-making an untraced copy, which put a step one field above these figures.
+their previous level) and a fifth that the next candidate reuses.  The
+pointwise work of a step and of a sample runs over row blocks, so none of
+it forms a whole-field temporary.  A step adds about 6.3: w, one buffer for
+the products s * w, the four blocks and det, whose buffer takes F'; only a
+step that lands on a sample keeps F' and the blocks.  A sample adds about
+one field at 16^4, and its rhs reuses the buffer of F'.  A run peaks at
+11.4-11.9 fields (13.3-13.7 with whole-field temporaries).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import HermitianField, SpectralGrid, relative_eigen_bounds
+from .discretization import HermitianField, SpectralGrid, relative_eigen_bounds, row_blocks
 from .errors import ConfigInvalid, NonFiniteValue, NonPositiveDensity, PositivityLost
 from .geometry import SurrogateGeometry
 # Read by perfbench as flow.product_reduced_run until ROADMAP item 1 imports it from oracle.
@@ -136,16 +136,17 @@ class _Imex2Stepper:
     solved mode by mode with real weights.  Evaluating the candidate costs
     four irfft (its metric blocks, see FlowProblem._forcing) and one rfft
     (of its F'); phi is transformed back only at events.  Positivity loss
-    or a non-finite value raises before any history is rotated, so the
-    caller can halve dt and retry cleanly.
+    or a non-finite form raises before any history is rotated, so the
+    caller can halve dt and retry cleanly; a non-finite rfft(F') raises
+    after it, and ends the run.
 
     Step ratios r = dt / dt_prev obey the zero-stability bound r <= 1 +
     sqrt(2): a longer step (after a halving) restarts from the one-step
     start-up instead.
 
-    The update holds about 3.9 whole fields (lam, inv and one coefficient
-    buffer; the candidate and one complex scratch) and keeps only the
-    candidate while evaluating it.
+    The update runs over row blocks: lam, inv, one coefficient buffer and
+    one complex scratch are block-sized, and each block writes into the
+    candidate.  The run loop sets keep on the step that lands on a sample.
     """
 
     def __init__(self, problem: "FlowProblem"):
@@ -154,23 +155,28 @@ class _Imex2Stepper:
         self.u = np.zeros(np.broadcast_shapes(s_bb.shape, s_ff.shape), dtype=complex)
         self.f = None         # rfft(F') at the accepted point, once evaluated
         self.mu = None        # proxy midranges there
-        self.forcing = None   # F' there, until a sample or the next step
+        self.forcing = None   # F' there, if it is kept for a sample
         self.blocks = None    # (bb, Re bf, Im bf, ff) there, likewise
         self.u_prev = self.f_prev = self.h_prev = None
+        self.spare = None     # the buffer of the level that left the history
+        self.keep = True      # whether the next step keeps F' and the blocks
 
-    def _evaluate(self, u, t):
-        """(rfft(F'), midranges, F', blocks) of the state u at time t."""
-        forcing, blocks, mu = self.problem._forcing(u, t)
+    def _transform(self, t):
+        """rfft(F') at the accepted point; unless kept, the blocks go before it and F' after."""
+        forcing = self.forcing
+        if not self.keep:
+            self.forcing = self.blocks = None
         f = self.problem.grid.rfft(forcing)
         # The zero mode is the sum of all entries of F': a +inf block entry
         # keeps every minimum finite but shows up here, on this step.
         if not np.isfinite(f.flat[0]):
             raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
-        return f, mu, forcing, blocks
+        return f
 
     def __call__(self, t, dt):
         if self.f is None:
-            self.f, self.mu, self.forcing, self.blocks = self._evaluate(self.u, t)
+            self.forcing, self.blocks, self.mu = self.problem._forcing(self.u, t)
+            self.f = self._transform(t)
 
         r = 0.0
         if self.u_prev is not None:
@@ -180,45 +186,66 @@ class _Imex2Stepper:
         a0, a2 = _bdf2_weights(r)
         s_bb, s_ff, _, _ = self.problem.grid._half_hessian_syms
         mu_b, mu_f = self.mu
-        lam = mu_b * s_bb + mu_f * s_ff  # the symbol of M'
-        # Each factor is evaluated in the formula's order; the four terms go
-        # through one real coefficient buffer and one complex scratch.
-        inv = (a0 + dt) - dt * lam
-        np.divide(1.0, inv, out=inv)
-        coef = 1.0 - dt * lam
-        coef *= 1.0 + r
-        coef *= inv
-        new = coef * self.u
-        scratch = np.multiply(inv, dt * (1.0 + r), out=coef) * self.f
-        new += scratch
-        if r:
-            np.multiply(lam, dt * r, out=coef)
-            coef -= a2
+        # Reusing the buffer of the level that left the history keeps the heap
+        # top in use: allocated anew, a 16^4 step faulted 219 pages back in.
+        new = np.empty_like(self.u) if self.spare is None else self.spare
+        # Row blocks of the update, each factor evaluated in the formula's
+        # order through one real coefficient buffer and one complex scratch.
+        for rows in row_blocks(new.shape):
+            lam = mu_b * s_bb[rows] + mu_f * s_ff  # the symbol of M'
+            inv = (a0 + dt) - dt * lam
+            np.divide(1.0, inv, out=inv)
+            coef = 1.0 - dt * lam
+            coef *= 1.0 + r
             coef *= inv
-            new += np.multiply(coef, self.u_prev, out=scratch)
-            new -= np.multiply(np.multiply(inv, dt * r, out=coef), self.f_prev, out=scratch)
+            out = np.multiply(coef, self.u[rows], out=new[rows])
+            scratch = np.multiply(inv, dt * (1.0 + r), out=coef) * self.f[rows]
+            out += scratch
+            if r:
+                np.multiply(lam, dt * r, out=coef)
+                coef -= a2
+                coef *= inv
+                out += np.multiply(coef, self.u_prev[rows], out=scratch)
+                out -= np.multiply(np.multiply(inv, dt * r, out=coef), self.f_prev[rows],
+                                   out=scratch)
         del lam, inv, coef, scratch
-        # Only a sample reads F' and the blocks.  Dropped before the update,
-        # they left a hole atop the heap that glibc returned to the OS and the
-        # step faulted back in (661 page faults a 16^4 step, against 5).
-        self.forcing = self.blocks = None
+        self.forcing = self.blocks = None  # kept on the last step, and no sample took them
 
-        f, mu, forcing, blocks = self._evaluate(new, t + dt)
+        forcing, blocks, mu = self.problem._forcing(new, t + dt)
+        # PositivityLost, the one error retried, is raised by now: the history
+        # rotates before the rfft, which then holds two half spectra fewer.
+        self.spare = None if self.keep else self.u_prev  # a sample holds no spare
         self.u_prev, self.f_prev, self.h_prev = self.u, self.f, dt
-        self.u, self.f, self.mu, self.forcing, self.blocks = new, f, mu, forcing, blocks
+        self.u, self.mu, self.forcing, self.blocks = new, mu, forcing, blocks
+        self.f = self._transform(t + dt)
 
     def phi(self) -> np.ndarray:
         return self.problem.grid.irfft(self.u)
 
     def sample_rhs(self, phi):
-        """The rhs and metric blocks at the accepted point, with no transform.
+        """The rhs and blocks (bb, Re bf, Im bf, ff) at the accepted point, with no transform.
 
         The rhs reuses the buffer of F', and the stepper lets go of F' and the blocks.
         """
-        rhs, (bb, re, im, ff) = self.forcing, self.blocks
+        rhs, blocks = self.forcing, self.blocks
         self.forcing = self.blocks = None
         rhs -= phi
-        return rhs, HermitianField.from_parts(bb, re, im, ff)
+        return rhs, blocks
+
+
+def _sup_abs(x) -> float:
+    """max |x| with no |x| temporary; NaN if x holds one."""
+    return abs(float(np.maximum(np.max(x), -np.min(x))))  # abs: a -0.0 maximum reads +0.0
+
+
+def _eigen_range(blocks, ref: HermitianField):
+    """(min, max) of the eigenvalues of the metric blocks relative to ref, by row blocks."""
+    lo, hi = np.inf, -np.inf
+    for rows in row_blocks(blocks[0].shape):
+        rel = relative_eigen_bounds(HermitianField.from_parts(*(b[rows] for b in blocks)),
+                                    HermitianField(ref.bb[rows], ref.bf, ref.ff))
+        lo, hi = np.minimum(lo, rel[0].min()), np.maximum(hi, rel[1].max())
+    return float(lo), float(hi)
 
 
 @dataclass
@@ -252,7 +279,7 @@ class FlowProblem:
         dens = geometry.density if omega_density is None else np.asarray(omega_density)
         if np.min(dens) <= 0.0:
             raise NonPositiveDensity(f"pinned density must be positive: min {np.min(dens):.6g}")
-        self.log_omega = np.log(dens)
+        self.log_omega = np.broadcast_to(np.log(dens), self.grid.shape)  # row blocks slice it
 
     # -- right-hand side ---------------------------------------------------
 
@@ -298,14 +325,30 @@ class FlowProblem:
         bb, ff, re, im = [grid.irfft(np.multiply(s, w, out=sw), overwrite=True)
                           for s in grid._half_hessian_syms]
         del w
-        bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
-        ff += e * geom.spec.fiber_scale * geom.g_fiber
-        det = bb * ff
+        base = (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
+        fiber = e * geom.spec.fiber_scale * geom.g_fiber
+        det = np.empty_like(bb)  # then F', in place
         del sw  # after det took w's place: 1100 page faults a 32^4 step, not 4000
-        scratch = np.multiply(re, re)
-        det -= scratch
-        det -= np.multiply(im, im, out=scratch)
-        mins = (float(np.min(bb)), float(np.min(ff)), float(np.min(det)))
+        # Row blocks, each giving the minima of bb, ff and det and the range of
+        # ff / det and of bb / det.  A form that fails raises after the loop,
+        # so its log and quotients go unwarned.
+        ext = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for rows in row_blocks(det.shape):
+                b, f, d = bb[rows], ff[rows], det[rows]
+                b += base[rows]
+                f += fiber
+                np.multiply(b, f, out=d)
+                d -= re[rows] * re[rows]
+                d -= im[rows] * im[rows]
+                ext.append([b.min(), f.min(), d.min()])
+                for coef in (f / d, b / d):
+                    ext[-1] += [coef.min(), coef.max()]
+                np.log(d, out=d)
+                d += t
+                d -= self.log_omega[rows]
+        lo, hi = np.min(ext, axis=0).tolist(), np.max(ext, axis=0).tolist()
+        mins = lo[:3]
         if any(math.isnan(m) or m == -math.inf for m in mins):
             raise NonFiniteValue(f"evolving form lost finiteness at t={t:.6f}")
         if min(mins) <= 0.0:
@@ -313,18 +356,9 @@ class FlowProblem:
                 f"evolving form left the positive cone at t={t:.6f}: "
                 "min bb {:.3e}, min ff {:.3e}, min det {:.3e}".format(*mins)
             )
-        # The proxy's midranges, before det's buffer takes F'.  A +inf entry
-        # makes them NaN; it fails the stepper's check on rfft(F') right after.
-        with np.errstate(invalid="ignore"):
-            coef = np.divide(ff, det, out=scratch)
-            mu_b = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
-            np.divide(bb, det, out=coef)
-            mu_f = 0.5 * (float(np.max(coef)) + float(np.min(coef)))
-        del scratch, coef
-        forcing = np.log(det, out=det)
-        forcing += t
-        forcing -= self.log_omega
-        return forcing, (bb, re, im, ff), (mu_b, mu_f)
+        # The proxy's midranges.  A +inf entry makes them NaN; it fails the
+        # stepper's check on rfft(F') right after.
+        return det, (bb, re, im, ff), (0.5 * (hi[4] + lo[3]), 0.5 * (hi[6] + lo[5]))
 
     # -- stepping ----------------------------------------------------------
 
@@ -357,21 +391,20 @@ class FlowProblem:
         def take_sample(tt):
             cur_phi = stepper.phi()
             if round(tt, 12) in sample_set:
-                rhs, g = stepper.sample_rhs(cur_phi)
-                if not np.all(np.isfinite(rhs)):
+                rhs, blocks = stepper.sample_rhs(cur_phi)
+                sup_phidot = _sup_abs(rhs)
+                if not math.isfinite(sup_phidot):
                     raise NonFiniteValue(f"right-hand side lost finiteness at t={tt:.6f}")
-                lo, hi = relative_eigen_bounds(g, self.geometry.tilde(tt))
-                eig_min, eig_max = float(np.min(lo)), float(np.max(hi))
+                eig_min, eig_max = _eigen_range(blocks, self.geometry.tilde(tt))
                 if eig_min < opts.positivity_floor:
                     raise PositivityLost(
                         f"relative eigenvalue {eig_min:.3e} below floor at t={tt:.6f}"
                     )
                 states.append(
-                    FlowState(tt, float(np.max(np.abs(cur_phi))), float(np.max(np.abs(rhs))),
-                              eig_min, eig_max, steps)
+                    FlowState(tt, _sup_abs(cur_phi), sup_phidot, eig_min, eig_max, steps)
                 )
                 if sampler is not None:
-                    records.append(sampler(tt, cur_phi, rhs, g))
+                    records.append(sampler(tt, cur_phi, rhs, HermitianField.from_parts(*blocks)))
             if round(tt, 12) in snapshot_set:
                 snapshots[tt] = cur_phi
             return cur_phi
@@ -389,6 +422,8 @@ class FlowProblem:
                 n = max(1, math.ceil((target - t) / opts.dt_max - 1e-9))
                 dt = (target - t) / n
                 for halving in range(opts.max_halvings + 1):
+                    # only a step that lands on a sample keeps F' and the blocks
+                    stepper.keep = target in sample_set and abs(t + dt - target) < 1e-10
                     try:
                         stepper(t, dt)
                         break

@@ -71,6 +71,23 @@ def test_index_tables_read_the_sorted_derivative_multisets():
     assert set(np.concatenate([t.ravel() for t in tables]).tolist()) == set(range(23))
 
 
+def test_symbol_walk_forms_each_field_as_its_product():
+    # The depth-first walk over shared prefixes gives every field once, each
+    # symbol bit-identical to math.prod of its factors, holo's then anti's.
+    grid, _, prob = make_problem(8)
+    sh = grid.sym_half
+    seen = []
+    for index, parity, a, b in MonitorEngine(prob)._symbols():
+        holo, anti = analysis._FIELDS[index]
+        sym = math.prod([sh[("holo", "bf"[m])] for m in holo]
+                        + [sh[("anti", "bf"[q])] for q in anti])
+        assert parity == (len(holo) + len(anti)) % 2
+        want = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
+        assert a.tobytes() == want[0].tobytes() and b.tobytes() == want[1].tobytes()
+        seen.append(index)
+    assert sorted(seen) == list(range(23))
+
+
 class TestEngineVsGeneric:
     @staticmethod
     def _input():

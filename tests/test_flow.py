@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from krflow import flow
+from krflow import discretization, flow
 from krflow.discretization import HermitianField, SpectralGrid, relative_eigen_bounds
 from krflow.errors import NonFiniteValue, PositivityLost
 from krflow.flow import (
@@ -251,26 +251,35 @@ def _traced_fields(fn, n=16):
 
 
 class TestWorkingSet:
-    # 16^4 on mixed data.  The state a run keeps is four half spectra; the
-    # limits sit above the in-place stepper (13.7, 7.4 and 3.1 fields) and
-    # below the stepper that built each term and block anew (21.7, 10.4 and
-    # 10.1).  A run that held phi between its events peaked at 14.7.
+    # Mixed data.  The state a run keeps is four half spectra.  The limits
+    # sit just above the row-block stepper (16^4: 11.9, 6.3 and 1.0 fields;
+    # 32^4: 11.4) and below the stepper whose update, forcing and sample
+    # formed whole-field temporaries (13.7, 7.4 and 3.1; 13.3).
 
     def test_run_peak(self):
         p = problem(16, psi0_preset="mixed")
         opts = FlowOptions(t_end=0.05, dt_max=0.00625, sample_interval=0.025)
-        assert _traced_fields(lambda: p.run(opts)) <= 14.0
+        assert _traced_fields(lambda: p.run(opts)) <= 12.0
 
-    def _stepped(self):
+    def test_run_peak_at_32(self):
+        p = problem(32, psi0_preset="mixed")
+        opts = FlowOptions(t_end=0.025, dt_max=0.00625, sample_interval=0.0125)
+        assert _traced_fields(lambda: p.run(opts), n=32) <= 12.0
+
+    def _stepped(self, keep=True):
         p = problem(16, psi0_preset="mixed")
         stepper = _Imex2Stepper(p)
+        stepper.keep = keep
         stepper(0.0, 0.00625)
         stepper(0.00625, 0.00625)
         return p, stepper
 
     def test_one_step(self):
-        _, stepper = self._stepped()
-        assert _traced_fields(lambda: stepper(0.0125, 0.00625)) <= 8.0
+        # A step that lands on no sample, as a run takes it: the candidate
+        # reuses the buffer of the level that left the history.
+        _, stepper = self._stepped(keep=False)
+        assert _traced_fields(lambda: stepper(0.0125, 0.00625)) <= 6.5
+        assert stepper.forcing is None and stepper.blocks is None
 
     def test_one_sample(self):
         # The blocks and F' are traced, as in a run, so a sample that lets
@@ -282,13 +291,128 @@ class TestWorkingSet:
             phi = stepper.phi()
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            _, g = stepper.sample_rhs(phi)
-            relative_eigen_bounds(g, p.geometry.tilde(0.01875))
+            _, blocks = stepper.sample_rhs(phi)
+            flow._eigen_range(blocks, p.geometry.tilde(0.01875))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - start) / (8 * 16**4) <= 4.0
+        assert (peak - start) / (8 * 16**4) <= 1.25
         assert stepper.forcing is None and stepper.blocks is None
+
+    def test_only_steps_that_land_on_a_sample_keep_the_forcing_and_blocks(self, monkeypatch):
+        p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
+        held = []
+        call = _Imex2Stepper.__call__
+
+        def recorded(self, t, dt):
+            call(self, t, dt)
+            kept = (self.forcing is not None, self.blocks is not None)
+            held.append((round(t + dt, 12), kept))
+
+        monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
+        res = p.run(FlowOptions(t_end=0.1, dt_max=0.01, sample_interval=0.05),
+                    snapshot_times=(0.025,))
+        assert [s.t for s in res.states] == [0.05, 0.1]
+        assert len(held) == res.total_steps == 11  # the snapshot splits 0-0.05 in 3 + 3
+        assert [t for t, kept in held if kept == (True, True)] == [0.05, 0.1]
+        assert 0.025 in [t for t, _ in held]
+        assert all(kept == (False, False) for t, kept in held if t not in (0.05, 0.1))
+
+
+def _whole_field_update(stepper, t, dt):
+    """The imex2 update of the stepper's state as one whole-field formula."""
+    r = 0.0 if stepper.u_prev is None else dt / stepper.h_prev
+    r = 0.0 if r > flow._R_MAX else r
+    a0, a2 = flow._bdf2_weights(r)
+    s_bb, s_ff, _, _ = stepper.problem.grid._half_hessian_syms
+    lam = stepper.mu[0] * s_bb + stepper.mu[1] * s_ff
+    inv = 1.0 / ((a0 + dt) - dt * lam)
+    new = (1.0 - dt * lam) * (1.0 + r) * inv * stepper.u
+    new += inv * (dt * (1.0 + r)) * stepper.f
+    if r:
+        new += (lam * (dt * r) - a2) * inv * stepper.u_prev
+        new -= inv * (dt * r) * stepper.f_prev
+    return new
+
+
+def _whole_field_forcing(p, u, t):
+    """F', the blocks and the midranges of FlowProblem._forcing as whole-field formulas."""
+    grid, geom, e = p.grid, p.geometry, math.exp(-t)
+    w = geom.psi0_spec * e + u
+    bb, ff, re, im = [grid.irfft(s * w) for s in grid._half_hessian_syms]
+    bb += (1.0 + (geom.spec.base_scale - 1.0) * e) * geom.chi
+    ff += e * geom.spec.fiber_scale * geom.g_fiber
+    det = bb * ff - re * re - im * im
+    mu = tuple(0.5 * (float(np.max(c)) + float(np.min(c))) for c in (ff / det, bb / det))
+    return np.log(det) + t - p.log_omega, (bb, re, im, ff), mu
+
+
+class TestRowBlocks:
+    # 1600 points make ragged last blocks: 5 + 3 rows of an 8^4 half
+    # spectrum (320 points a row) and 3 + 3 + 2 rows of an 8^4 field (512).
+    @pytest.fixture(params=[None, 1600], ids=["default", "ragged"])
+    def block_points(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(discretization, "_BLOCK_POINTS", request.param)
+        return request.param
+
+    def test_ragged_blocks_cover_the_rows(self, monkeypatch):
+        row_blocks = discretization.row_blocks
+        assert row_blocks((16, 16, 16, 16)) == [slice(i, i + 2) for i in range(0, 16, 2)]
+        assert row_blocks((32, 32, 32, 17)) == [slice(i, i + 1) for i in range(32)]
+        monkeypatch.setattr(discretization, "_BLOCK_POINTS", 1600)
+        assert row_blocks((8, 8, 8, 5)) == [slice(0, 5), slice(5, 10)]
+        assert row_blocks((8, 8, 8, 8)) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+
+    def test_update_is_the_whole_field_formula(self, block_points):
+        p = spectral_problem(8)
+        stepper = _Imex2Stepper(p)
+        ratios = []
+        for k, dt in enumerate((0.01, 0.01, 0.005, 0.02)):  # r = 0, 1, 0.5, then 4 restarts
+            t = 0.01 * k
+            if stepper.f is None:
+                stepper.forcing, stepper.blocks, stepper.mu = p._forcing(stepper.u, t)
+                stepper.f = p.grid.rfft(stepper.forcing)
+            ratios.append(0.0 if stepper.u_prev is None else dt / stepper.h_prev)
+            want = _whole_field_update(stepper, t, dt)
+            stepper(t, dt)
+            assert np.array_equal(stepper.u, want)
+        assert ratios == [0.0, 1.0, 0.5, 4.0]
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_forcing_is_the_whole_field_formula(self, block_points, t):
+        p = spectral_problem(8)
+        x, _, u, v = p.grid.coords
+        phi = 0.002 * np.cos(TP * x) * np.sin(TP * (u + 2 * v)) * np.ones(p.grid.shape)
+        spec = p.grid.rfft(phi)
+        forcing, blocks, mu = p._forcing(spec, t)
+        want_forcing, want_blocks, want_mu = _whole_field_forcing(p, spec, t)
+        assert np.array_equal(forcing, want_forcing) and mu == want_mu
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks))
+
+    def test_sample_extrema_are_the_whole_field_ones(self, block_points):
+        p = spectral_problem(8)
+        stepper = _Imex2Stepper(p)
+        stepper(0.0, 0.01)
+        phi = stepper.phi()
+        rhs, blocks = stepper.sample_rhs(phi)
+        ref = p.geometry.tilde(0.01)
+        lo, hi = relative_eigen_bounds(HermitianField.from_parts(*blocks), ref)
+        assert flow._eigen_range(blocks, ref) == (float(np.min(lo)), float(np.max(hi)))
+        for x in (phi, rhs, -np.abs(rhs), np.zeros(3), np.array([-0.0, -0.0])):
+            assert repr(flow._sup_abs(x)) == repr(float(np.max(np.abs(x))))
+        assert math.isnan(flow._sup_abs(np.array([1.0, np.nan, -2.0])))
+
+    def test_a_broadcast_density_gives_the_full_shape_results(self, block_points):
+        grid = SpectralGrid(8, 8)
+        geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed", psi0_amplitude=0.02))
+        x, _, u, _ = grid.coords
+        phi = 0.003 * np.sin(TP * (x + u)) * np.ones(grid.shape)
+        out = []
+        for dens in (np.full((1, 1, 1, 1), 1.3), np.full(grid.shape, 1.3)):
+            rhs, g = FlowProblem(geom, omega_density=dens).rhs(phi, 0.4)
+            out.append((rhs, g.bb, g.bf, g.ff))
+        assert all(np.array_equal(a, b) for a, b in zip(*out))
 
 
 def _recorded_ratios(monkeypatch):
