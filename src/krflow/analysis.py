@@ -316,12 +316,13 @@ class MonitorEngine:
         shape = grid.shape
         e_t = math.exp(t)
 
+        # The curvature maxima first: no pointwise field below is alive
+        # beside the derivative stack.
+        s_max, rm2_max, grad2_max = (float(np.max(x)) for x in self.curvature_fields(t, phi, g))
         tilde = geom.tilde(t)
         lo, hi = relative_eigen_bounds(g, tilde)
         tr = trace_with(g, tilde)
         ratio = e_t * g.det() / geom.density
-
-        s_field, rm2_field, grad2_field = self.curvature_fields(t, phi, g)
 
         # The sample fibers, stacked on a leading axis: each fiber monitor
         # is a per-fiber sup, scaled, then maximized over the fibers.
@@ -346,9 +347,9 @@ class MonitorEngine:
             rel_eig_max=float(np.max(hi)),
             trace_min=float(np.min(tr)),
             trace_max=float(np.max(tr)),
-            s_max=float(np.max(s_field)),
-            rm2_max=float(np.max(rm2_field)),
-            grad2_max=float(np.max(grad2_field)),
+            s_max=s_max,
+            rm2_max=rm2_max,
+            grad2_max=grad2_max,
             fiber_dev0=dev0,
             fiber_dev1=dev1,
             fiber_dev2=dev2,

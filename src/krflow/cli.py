@@ -181,8 +181,9 @@ def _validate(cfg: RunConfig) -> None:
     check_fit_window(a["fit_t_min"], a["fit_t_max"])
     if not (1 <= a["fiber_stride"] <= 64):
         raise ConfigInvalid(f"fiber_stride out of range: {a['fiber_stride']}")
-    if cfg.values["output"]["snapshot_interval"] < 0:
-        raise ConfigInvalid("snapshot_interval must be >= 0")
+    snap_int = cfg.values["output"]["snapshot_interval"]
+    if not (math.isfinite(snap_int) and snap_int >= 0):
+        raise ConfigInvalid(f"snapshot_interval must be finite and >= 0, got {snap_int!r}")
     # Constructing the validated objects surfaces any remaining range
     # errors (levels, scales, grid sizes, dt) with their own messages.
     cfg.geometry_spec()

@@ -22,6 +22,7 @@ Every 4D transform runs on the calling thread: on one worker on small grids
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -85,22 +86,12 @@ class HermitianField:
     """Coefficient blocks of a Hermitian 2x2 matrix field: bb, bf, ff.
 
     bb and ff are real arrays, bf is complex; the fb block is conj(bf).
-    Supports addition and scaling by real scalars/arrays, with numpy
-    broadcasting.  det and the helpers below accumulate in place, so bb * ff
-    must span the shape of every block, as it does for every caller.
+    Blocks broadcast against each other with numpy's rules.
     """
 
     bb: np.ndarray
     bf: np.ndarray
     ff: np.ndarray
-
-    def __add__(self, other: "HermitianField") -> "HermitianField":
-        return HermitianField(self.bb + other.bb, self.bf + other.bf, self.ff + other.ff)
-
-    def __mul__(self, s) -> "HermitianField":
-        return HermitianField(self.bb * s, self.bf * s, self.ff * s)
-
-    __rmul__ = __mul__
 
     @classmethod
     def from_parts(cls, bb, re, im, ff) -> "HermitianField":
@@ -111,57 +102,32 @@ class HermitianField:
         return cls(bb, bf, ff)
 
     def det(self) -> np.ndarray:
-        out = self.bb * self.ff
-        sq = np.abs(self.bf)
-        sq **= 2
-        out -= sq
-        return out
+        return self.bb * self.ff - np.abs(self.bf) ** 2
 
 
 def wedge_density(a: HermitianField, b: HermitianField) -> np.ndarray:
     """Top-degree coefficient of the wedge a ^ b, as a real field.
 
-    Symmetric in its arguments; wedge_density(a, a) == 2 * a.det().  The
-    cross term Re(a.bf conj(b.bf)) is taken in real parts: bit-identical to
-    the complex product where b.bf is zero, as on the comparison form.
+    Symmetric in its arguments; wedge_density(a, a) == 2 * a.det().
     """
-    out = a.bb * b.ff
-    out += a.ff * b.bb
-    cross = a.bf.real * b.bf.real
-    cross += a.bf.imag * b.bf.imag
-    cross *= 2.0
-    out -= cross
-    return out
+    return a.bb * b.ff + a.ff * b.bb - 2.0 * np.real(a.bf * np.conj(b.bf))
 
 
 def trace_with(g: HermitianField, ref: HermitianField) -> np.ndarray:
     """Trace of g against ref (contraction with the inverse of ref)."""
-    out = wedge_density(g, ref)
-    out /= ref.det()
-    return out
+    return wedge_density(g, ref) / ref.det()
 
 
 def relative_eigen_bounds(g: HermitianField, ref: HermitianField):
     """Pointwise generalized eigenvalue fields of g relative to ref.
 
     Solves det(g - lam * ref) = 0 in closed form; ref must be positive.
-    Returns (lam_min, lam_max) as real arrays; holds at most three whole
-    fields at once on a base-only ref, the two results included.
+    Returns (lam_min, lam_max) as real arrays.
     """
     a = ref.det()
     b = wedge_density(g, ref)
-    c = g.det()
-    c *= 4.0 * a
-    disc = b * b
-    disc -= c
-    del c
-    root = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-    a *= 2.0
-    lo = b - root
-    lo /= a
-    hi = np.add(b, root, out=root)
-    hi /= a
-    return lo, hi
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * g.det(), 0.0))
+    return (b - root) / (2.0 * a), (b + root) / (2.0 * a)
 
 
 @dataclass
@@ -183,8 +149,8 @@ class SpectralGrid:
             if n < 8 or (n & (n - 1)) != 0:
                 raise ConfigInvalid(f"{name} must be a power of two >= 8, got {n}")
         self.tau = complex(self.tau)
-        if self.tau.imag <= 0.0:
-            raise ConfigInvalid(f"fiber modulus must satisfy Im(tau) > 0, got {self.tau}")
+        if not (cmath.isfinite(self.tau) and self.tau.imag > 0.0):
+            raise ConfigInvalid(f"fiber modulus tau must be finite with Im(tau) > 0, got {self.tau}")
 
     # -- shapes and coordinates -------------------------------------------
 

@@ -50,10 +50,11 @@ spectrum is about one field).  A run keeps four half spectra (u, f and
 their previous level) and a fifth that the next candidate reuses.  The
 pointwise work of a step and of a sample runs over row blocks, so none of
 it forms a whole-field temporary.  A step adds about 6.3: w, one buffer for
-the products s * w, the four blocks and det, whose buffer takes F'; only a
-step that lands on a sample keeps F' and the blocks.  A sample adds about
-one field at 16^4, and its rhs reuses the buffer of F'.  A run peaks at
-11.4-11.9 fields (13.3-13.7 with whole-field temporaries).
+the products s * w, the four blocks and det, whose buffer takes F'.  Only
+the step that lands on a sample returns F' and the blocks; the run hands
+them to the sample, whose rhs reuses the buffer of F', and lets go of them
+before it steps on.  A sample adds about one field at 16^4.  A run peaks
+at 11.4-11.9 fields (13.3-13.7 with whole-field temporaries).
 """
 
 from __future__ import annotations
@@ -146,7 +147,9 @@ class _Imex2Stepper:
 
     The update runs over row blocks: lam, inv, one coefficient buffer and
     one complex scratch are block-sized, and each block writes into the
-    candidate.  The run loop sets keep on the step that lands on a sample.
+    candidate.  A step called with keep returns (F', blocks) at t + dt, the
+    blocks (bb, Re bf, Im bf, ff) of g; any other step returns None, and
+    lets go of the blocks before rfft(F') and of F' after it.
     """
 
     def __init__(self, problem: "FlowProblem"):
@@ -155,17 +158,10 @@ class _Imex2Stepper:
         self.u = np.zeros(np.broadcast_shapes(s_bb.shape, s_ff.shape), dtype=complex)
         self.f = None         # rfft(F') at the accepted point, once evaluated
         self.mu = None        # proxy midranges there
-        self.forcing = None   # F' there, if it is kept for a sample
-        self.blocks = None    # (bb, Re bf, Im bf, ff) there, likewise
         self.u_prev = self.f_prev = self.h_prev = None
         self.spare = None     # the buffer of the level that left the history
-        self.keep = True      # whether the next step keeps F' and the blocks
 
-    def _transform(self, t):
-        """rfft(F') at the accepted point; unless kept, the blocks go before it and F' after."""
-        forcing = self.forcing
-        if not self.keep:
-            self.forcing = self.blocks = None
+    def _transform(self, forcing, t):
         f = self.problem.grid.rfft(forcing)
         # The zero mode is the sum of all entries of F': a +inf block entry
         # keeps every minimum finite but shows up here, on this step.
@@ -173,10 +169,12 @@ class _Imex2Stepper:
             raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
         return f
 
-    def __call__(self, t, dt):
+    def __call__(self, t, dt, keep=False):
         if self.f is None:
-            self.forcing, self.blocks, self.mu = self.problem._forcing(self.u, t)
-            self.f = self._transform(t)
+            forcing, blocks, self.mu = self.problem._forcing(self.u, t)
+            del blocks
+            self.f = self._transform(forcing, t)
+            del forcing
 
         r = 0.0
         if self.u_prev is not None:
@@ -209,28 +207,19 @@ class _Imex2Stepper:
                 out -= np.multiply(np.multiply(inv, dt * r, out=coef), self.f_prev[rows],
                                    out=scratch)
         del lam, inv, coef, scratch
-        self.forcing = self.blocks = None  # kept on the last step, and no sample took them
 
-        forcing, blocks, mu = self.problem._forcing(new, t + dt)
+        forcing, blocks, self.mu = self.problem._forcing(new, t + dt)
         # PositivityLost, the one error retried, is raised by now: the history
         # rotates before the rfft, which then holds two half spectra fewer.
-        self.spare = None if self.keep else self.u_prev  # a sample holds no spare
-        self.u_prev, self.f_prev, self.h_prev = self.u, self.f, dt
-        self.u, self.mu, self.forcing, self.blocks = new, mu, forcing, blocks
-        self.f = self._transform(t + dt)
+        self.spare = None if keep else self.u_prev  # a sample holds no spare
+        self.u_prev, self.f_prev, self.h_prev, self.u = self.u, self.f, dt, new
+        if not keep:
+            blocks = None
+        self.f = self._transform(forcing, t + dt)
+        return (forcing, blocks) if keep else None
 
     def phi(self) -> np.ndarray:
         return self.problem.grid.irfft(self.u)
-
-    def sample_rhs(self, phi):
-        """The rhs and blocks (bb, Re bf, Im bf, ff) at the accepted point, with no transform.
-
-        The rhs reuses the buffer of F', and the stepper lets go of F' and the blocks.
-        """
-        rhs, blocks = self.forcing, self.blocks
-        self.forcing = self.blocks = None
-        rhs -= phi
-        return rhs, blocks
 
 
 def _sup_abs(x) -> float:
@@ -245,6 +234,7 @@ def _eigen_range(blocks, ref: HermitianField):
         rel = relative_eigen_bounds(HermitianField.from_parts(*(b[rows] for b in blocks)),
                                     HermitianField(ref.bb[rows], ref.bf, ref.ff))
         lo, hi = np.minimum(lo, rel[0].min()), np.maximum(hi, rel[1].max())
+        del rel  # before the next block's bounds
     return float(lo), float(hi)
 
 
@@ -388,10 +378,11 @@ class FlowProblem:
 
         states, records, snapshots = [], [], {}
 
-        def take_sample(tt):
+        def take_sample(tt, kept):
             cur_phi = stepper.phi()
             if round(tt, 12) in sample_set:
-                rhs, blocks = stepper.sample_rhs(cur_phi)
+                rhs, blocks = kept
+                rhs -= cur_phi  # in the buffer of F'
                 sup_phidot = _sup_abs(rhs)
                 if not math.isfinite(sup_phidot):
                     raise NonFiniteValue(f"right-hand side lost finiteness at t={tt:.6f}")
@@ -415,7 +406,8 @@ class FlowProblem:
         stepper = _Imex2Stepper(self)
 
         for target in event_list:
-            phi = None  # the last event's phi, not held while stepping
+            # the last event's phi and sample data, not held while stepping
+            phi = kept = None
             while t < target - 1e-12:
                 # equal steps of at most dt_max over the rest of the
                 # interval, so an event never forces a short step
@@ -423,9 +415,9 @@ class FlowProblem:
                 dt = (target - t) / n
                 for halving in range(opts.max_halvings + 1):
                     # only a step that lands on a sample keeps F' and the blocks
-                    stepper.keep = target in sample_set and abs(t + dt - target) < 1e-10
+                    keep = target in sample_set and abs(t + dt - target) < 1e-10
                     try:
-                        stepper(t, dt)
+                        kept = stepper(t, dt, keep)
                         break
                     except PositivityLost:
                         if halving == opts.max_halvings:
@@ -435,7 +427,7 @@ class FlowProblem:
                 steps += 1
                 if abs(t - target) < 1e-10:
                     t = target
-            phi = take_sample(target)
+            phi = take_sample(target, kept)
 
         return FlowResult(
             states=states,

@@ -35,6 +35,7 @@ Monge-Ampere ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,9 @@ class GeometrySpec:
                 f"unknown psi0 preset {self.psi0_preset!r}; "
                 f"choose from {sorted(PSI0_PRESETS)}"
             )
+        for name in ("base_level", "base_ripple", "base_scale", "fiber_scale", "psi0_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.fiber_scale <= 0.0:
             raise SingularFiberMetric(f"fiber_scale must be positive, got {self.fiber_scale}")
         if self.base_scale <= 0.0:

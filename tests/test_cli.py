@@ -329,6 +329,28 @@ class TestSimulate:
         assert err.startswith("config error") and name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, line, name", [
+        ("geometry", "fiber_modulus = nan+1j", "tau"),
+        ("geometry", "twist_level = nan", "base_level"),
+        ("geometry", "twist_amplitude = nan", "base_ripple"),
+        ("geometry", "base_scale = nan", "base_scale"),
+        ("geometry", "initial_amplitude = nan", "psi0_amplitude"),
+        ("geometry", "fiber_scale = inf", "fiber_scale"),
+        ("output", "snapshot_interval = nan", "snapshot_interval"),
+    ])
+    def test_non_finite_geometry_and_output_values_exit_two(self, tmp_path, capsys, section,
+                                                            line, name):
+        # These once ended in a LinAlgError traceback (fiber_modulus), in a
+        # NonFiniteValue after the preflight (exit 1), or in a run that wrote
+        # no snapshot and exited 0 (snapshot_interval).
+        out = tmp_path / "o"
+        ini = _write(tmp_path, "bad.ini", "[geometry]\nbase_grid = 8\nfiber_grid = 8\n"
+                     f"[{section}]\n{line}\n[output]\ndirectory = {out}\n")
+        assert cli.main(["--config", ini, "--quiet", "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and name in err
+        assert not out.exists()
+
     def test_octagon_mesh_is_not_held_to_the_torus_grid_rule(self, tmp_path, capsys):
         # base_grid = 48 is the documented smallest octagon mesh, though not
         # a power of two; below 48 the octagon grid itself rejects it.

@@ -209,8 +209,8 @@ class TestWedgeAlgebra:
 
     def test_in_place_helpers_are_the_complex_formulas_on_a_comparison_form(self):
         # Shaped like geometry.tilde: a base-only bb and a zero bf and a
-        # constant ff of shape (1, 1, 1, 1).  There the real cross term and
-        # the in-place accumulation are bit-identical to the complex formulas.
+        # constant ff of shape (1, 1, 1, 1), the comparison form every caller
+        # passes.  The helpers must give the complex formulas bit for bit.
         g, _ = self._random_pair(26)
         rng = np.random.default_rng(26)
         ref = HermitianField(2.0 + 0.3 * rng.normal(size=(5, 5, 1, 1)),

@@ -59,7 +59,8 @@ class TestRightHandSide:
         phi = 0.002 * np.cos(TP * x) * np.sin(TP * u) * np.ones(p.grid.shape)
         omega0 = p.geometry.initial_form()
         for t in (0.0, 0.4, 1.1):
-            ref_g = oracle.hat(omega0, p.geometry.chi, t) + p.grid.hessian(phi)
+            hat, hess = oracle.hat(omega0, p.geometry.chi, t), p.grid.hessian(phi)
+            ref_g = HermitianField(hat.bb + hess.bb, hat.bf + hess.bf, hat.ff + hess.ff)
             ref_rhs = t + np.log(ref_g.det()) - p.log_omega - phi
             rhs, g = p.rhs(phi, t)
             assert np.max(np.abs(rhs - ref_rhs)) < 1e-13
@@ -223,7 +224,7 @@ class TestRunMechanics:
     def test_t_end_within_the_event_slack_of_a_multiple_is_one_event(self):
         # 0.1 and round(t_end, 12) = 0.100000000001 are one point to the run
         # loop; as two events the second sample would take no step and find
-        # the stepper's F' and blocks already taken by the first.
+        # no F' or blocks from a step that landed on it.
         t_end = 0.1000000000006
         assert sample_times(t_end, 0.05) == [0.05, 0.1]
         res = problem().run(FlowOptions(t_end=t_end, dt_max=0.01, sample_interval=0.05))
@@ -269,17 +270,17 @@ class TestWorkingSet:
     def _stepped(self, keep=True):
         p = problem(16, psi0_preset="mixed")
         stepper = _Imex2Stepper(p)
-        stepper.keep = keep
-        stepper(0.0, 0.00625)
-        stepper(0.00625, 0.00625)
+        stepper(0.0, 0.00625, keep)
+        stepper(0.00625, 0.00625, keep)
         return p, stepper
 
     def test_one_step(self):
         # A step that lands on no sample, as a run takes it: the candidate
         # reuses the buffer of the level that left the history.
         _, stepper = self._stepped(keep=False)
-        assert _traced_fields(lambda: stepper(0.0125, 0.00625)) <= 6.5
-        assert stepper.forcing is None and stepper.blocks is None
+        out = []
+        assert _traced_fields(lambda: out.append(stepper(0.0125, 0.00625))) <= 6.5
+        assert out == [None]
 
     def test_one_sample(self):
         # The blocks and F' are traced, as in a run, so a sample that lets
@@ -287,36 +288,35 @@ class TestWorkingSet:
         p, stepper = self._stepped()
         tracemalloc.start()
         try:
-            stepper(0.0125, 0.00625)
+            rhs, blocks = stepper(0.0125, 0.00625, keep=True)
             phi = stepper.phi()
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            _, blocks = stepper.sample_rhs(phi)
+            rhs -= phi
+            flow._sup_abs(rhs)
             flow._eigen_range(blocks, p.geometry.tilde(0.01875))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (peak - start) / (8 * 16**4) <= 1.25
-        assert stepper.forcing is None and stepper.blocks is None
 
     def test_only_steps_that_land_on_a_sample_keep_the_forcing_and_blocks(self, monkeypatch):
         p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
         held = []
         call = _Imex2Stepper.__call__
 
-        def recorded(self, t, dt):
-            call(self, t, dt)
-            kept = (self.forcing is not None, self.blocks is not None)
-            held.append((round(t + dt, 12), kept))
+        def recorded(self, t, dt, keep=False):
+            out = call(self, t, dt, keep)
+            held.append((round(t + dt, 12), out is not None))
+            return out
 
         monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
         res = p.run(FlowOptions(t_end=0.1, dt_max=0.01, sample_interval=0.05),
                     snapshot_times=(0.025,))
         assert [s.t for s in res.states] == [0.05, 0.1]
         assert len(held) == res.total_steps == 11  # the snapshot splits 0-0.05 in 3 + 3
-        assert [t for t, kept in held if kept == (True, True)] == [0.05, 0.1]
+        assert [t for t, kept in held if kept] == [0.05, 0.1]
         assert 0.025 in [t for t, _ in held]
-        assert all(kept == (False, False) for t, kept in held if t not in (0.05, 0.1))
 
 
 def _whole_field_update(stepper, t, dt):
@@ -371,8 +371,8 @@ class TestRowBlocks:
         for k, dt in enumerate((0.01, 0.01, 0.005, 0.02)):  # r = 0, 1, 0.5, then 4 restarts
             t = 0.01 * k
             if stepper.f is None:
-                stepper.forcing, stepper.blocks, stepper.mu = p._forcing(stepper.u, t)
-                stepper.f = p.grid.rfft(stepper.forcing)
+                forcing, _, stepper.mu = p._forcing(stepper.u, t)
+                stepper.f = p.grid.rfft(forcing)
             ratios.append(0.0 if stepper.u_prev is None else dt / stepper.h_prev)
             want = _whole_field_update(stepper, t, dt)
             stepper(t, dt)
@@ -393,9 +393,9 @@ class TestRowBlocks:
     def test_sample_extrema_are_the_whole_field_ones(self, block_points):
         p = spectral_problem(8)
         stepper = _Imex2Stepper(p)
-        stepper(0.0, 0.01)
+        rhs, blocks = stepper(0.0, 0.01, keep=True)
         phi = stepper.phi()
-        rhs, blocks = stepper.sample_rhs(phi)
+        rhs -= phi
         ref = p.geometry.tilde(0.01)
         lo, hi = relative_eigen_bounds(HermitianField.from_parts(*blocks), ref)
         assert flow._eigen_range(blocks, ref) == (float(np.min(lo)), float(np.max(hi)))
@@ -484,10 +484,10 @@ class SixTransformImex2:
     def rhs_from_spec(self, w, w_spec, t):
         grid = self.p.grid
         s_bb, s_ff, s_re, s_im = grid._half_hessian_syms
-        hess = HermitianField(grid.irfft(s_bb * w_spec),
-                              grid.irfft(s_re * w_spec) + 1j * grid.irfft(s_im * w_spec),
-                              grid.irfft(s_ff * w_spec))
-        g = oracle.hat(self.omega0, self.p.geometry.chi, t) + hess
+        hat = oracle.hat(self.omega0, self.p.geometry.chi, t)
+        g = HermitianField(hat.bb + grid.irfft(s_bb * w_spec),
+                           hat.bf + (grid.irfft(s_re * w_spec) + 1j * grid.irfft(s_im * w_spec)),
+                           hat.ff + grid.irfft(s_ff * w_spec))
         return t + np.log(g.det()) - self.p.log_omega - w, g
 
     def __call__(self, phi, t, dt):
@@ -538,11 +538,12 @@ class TestSpectralStepper:
         per_call = []
         call = _Imex2Stepper.__call__
 
-        def recorded(self, t, dt):
+        def recorded(self, t, dt, keep=False):
             before = dict(counts)
-            call(self, t, dt)
+            out = call(self, t, dt, keep)
             per_call.append((counts["rfft"] - before["rfft"],
                              counts["irfft"] - before["irfft"]))
+            return out
 
         monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
         res = p.run(FlowOptions(t_end=0.3, dt_max=0.01, sample_interval=0.1),
@@ -570,9 +571,10 @@ class TestSpectralStepper:
         accepted = []
         call = _Imex2Stepper.__call__
 
-        def recorded(self, t, dt):
-            call(self, t, dt)
+        def recorded(self, t, dt, keep=False):
+            out = call(self, t, dt, keep)
             accepted.append((t, dt))
+            return out
 
         monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
         res = p.run(FlowOptions(t_end=0.3, dt_max=0.00625, sample_interval=0.1))
