@@ -27,17 +27,21 @@ Monitored quantities per sample:
 * distance_to_limit: sup |g_bb - chi|
 
 The fast per-sample path (MonitorEngine) expresses every derivative of g
-through one rfft of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
-non-product content of g) plus closed-form derivatives of the base form:
-23 distinct whole-grid fields, stacked in one array in _FIELDS order.
+through the spectrum of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
+non-product content of g), formed as the stepper forms it, rfft(phi) +
+e^{-t} psi0_spec, plus closed-form derivatives of the base form: 23
+distinct fields in 37 real rows of one stack (see _stack_rows).
 Everything after that runs on blocks of at most _BLOCK_POINTS grid points
 (a base slab, or rows of one), so the pointwise algebra's working set stays
-near 7 MiB as slabs grow.  A block's tensors are read out of the stack by
-integer index tables built at import, one field index per component.  On
-each block g = L L* is factored by the closed-form 2x2 Cholesky and every
-tensor index is moved into the orthonormal frame E = L^{-1}: holomorphic
-slots take E, antiholomorphic slots conj(E), since g^{-1} = E* E.  Each
-norm is then a plain sum of squared moduli, nonnegative by construction.
+near 7 MiB as slabs grow.  g and the reference are Kahler and the
+reference's (2, 0) curvature vanishes, so D and W are symmetric in their
+two holomorphic slots, T in its three, M2 in (j, k), and DD and Rm in
+(i, k) and in (j, l) (Song & Weinkove, arXiv:1212.3653): a block reads
+their 41 independent components, not 64, by integer index tables.  g = L L*
+is factored by the closed-form 2x2 Cholesky and every slot group is moved
+into the orthonormal frame E = L^{-1} by its closed form: holomorphic slots
+take E, antiholomorphic slots conj(E), since g^{-1} = E* E.  Each norm is
+then a sum of squared moduli, nonnegative by construction.
 
 A slow generic path in oracle.py (christoffel_deviation,
 curvature_squared, covariant_hessian_squared), using full complex
@@ -80,26 +84,38 @@ def _frame(bb, bf, ff):
 
 
 def _to_frame(t, frame, slots):
-    """Move every leading tensor index of t into the frame, in place.
+    """Move every leading slot group of t into the frame, in place.
 
-    t has shape (2,) * len(slots) + slab; slots[n] is 'h' for a holomorphic
-    index (it takes E) or 'a' for an antiholomorphic one (it takes conj(E)).
+    Axis n of t holds the components S_0..S_r of a group of r symmetric
+    slots by their number of fiber slots; slots[n] is 'h' for a holomorphic
+    group (it takes E) or 'a' for an antiholomorphic one (conj(E)).  The
+    frame's S'_n = e00^(r-n) sum_m C(n, m) e10^(n-m) e11^m S_m comes from r
+    Pascal passes: for a pair, (e00^2 S0, e00 (e10 S0 + e11 S1), e10^2 S0 +
+    2 e10 e11 S1 + e11^2 S2).
     """
     e00, e10, e11 = frame
-    e10_bar = np.conj(e10)
     for axis, slot in enumerate(slots):
         lead = (slice(None),) * axis
-        lo, hi = t[lead + (0,)], t[lead + (1,)]
-        hi *= e11
-        hi += (e10 if slot == "h" else e10_bar) * lo
-        lo *= e00
+        e = e10 if slot == "h" else np.conj(e10)
+        r = t.shape[axis] - 1
+        for s in range(1, r + 1):
+            for m in range(r, s - 1, -1):
+                hi = t[lead + (m,)]
+                hi *= e11
+                hi += e * t[lead + (m - 1,)]
+        for n in range(r):
+            t[lead + (n,)] *= e00 ** (r - n)
     return t
 
 
-def _sum_sq(t, rank):
-    """Sum of squared moduli over the leading `rank` tensor axes."""
-    t = t.reshape((-1,) + t.shape[rank:])
-    return np.sum(t.real**2 + t.imag**2, axis=0)
+def _sum_sq(t, groups):
+    """Sum of squared moduli over the full tensor whose independent
+    components fill t's leading `groups` axes: a component with n fiber
+    slots in a group of r occurs C(r, n) times, (1, 2, 1) for a pair."""
+    weights = np.ones(())
+    for size in t.shape[:groups]:
+        weights = np.multiply.outer(weights, [math.comb(size - 1, n) for n in range(size)])
+    return np.tensordot(weights, t.real**2 + t.imag**2, axes=groups)
 
 
 # -- derivative field table (engine path) ----------------------------------
@@ -108,8 +124,7 @@ def _sum_sq(t, rank):
 # as sorted (holo, anti) index multisets, 0 = base and 1 = fiber.  Mixed
 # partials commute, so a field is fixed by its (holomorphic, antiholomorphic)
 # order and by how many of each kind are fiber derivatives.  D and DD read
-# the orders (2, 1) and (2, 2), T the order (3, 1): 6 + 9 + 8 = 23 fields,
-# stacked in this order.
+# the orders (2, 1) and (2, 2), T the order (3, 1): 6 + 9 + 8 = 23 fields.
 _FIELDS = tuple(
     ((0,) * (nh - h) + (1,) * h, (0,) * (na - a) + (1,) * a)
     for nh, na in ((2, 1), (2, 2), (3, 1))
@@ -118,23 +133,40 @@ _FIELDS = tuple(
 )
 
 
-def _field_index(holo, anti):
-    """_FIELDS index of d_{holo} dbar_{anti} w, elementwise over the integer
-    index arrays in the sequences holo and anti."""
-    first = _FIELDS.index(((0,) * len(holo), (0,) * len(anti)))
-    return first + sum(holo) * (len(anti) + 1) + sum(anti)
+def _stack_rows():
+    """Each field's Re and Im row in a record's real stack, the sign its Im
+    takes from there, and the number of rows (37, each one irfft).
+
+    w is real, so a (2, 2) field is the conjugate of the one with holo and
+    anti swapped: it reads that field's rows, Im negated, when that field
+    comes first, and is real (one row, Im times 0) when the two agree.
+    """
+    rows = []
+    for holo, anti in _FIELDS:
+        if (anti, holo) in _FIELDS[:len(rows)]:
+            rows.append(rows[_FIELDS.index((anti, holo))][:2] + (-1.0,))
+        else:
+            n = 1 + max((r[1] for r in rows), default=-1)
+            rows.append((n, n + (holo != anti), float(holo != anti)))
+    re, im, sign = (np.array(c) for c in zip(*rows))
+    return re, im, sign, 1 + int(im.max())
 
 
 def _index_tables():
-    """Field index of every component of the slab tensors D, DD, T, M2."""
-    (m, n, q), (i, j, k, l) = np.indices((2, 2, 2)), np.indices((2, 2, 2, 2))
-    return (_field_index((m, n), (q,)),          # d_m g_{n qbar}
-            _field_index((k, i), (l, j)),        # d_k dbar_l g_{i jbar}
-            _field_index((i, j, k), (l,)),       # d_i d_j g_{k lbar}
-            _field_index((j, k), (i, l)))        # dbar_i d_j g_{k lbar}
+    """Field index of each independent component of the slab tensors D, DD,
+    T, M2, by the number of fiber slots in each symmetric slot group."""
+    def field(nh, na, h, a):  # order (nh, na), h and a fiber derivatives
+        return _FIELDS.index(((0,) * nh, (0,) * na)) + h * (na + 1) + a
+
+    (i, jk, l) = np.indices((2, 3, 2))
+    return (field(2, 1, *np.indices((3, 2))),  # d_m g_{n qbar}: [m + n, q]
+            field(2, 2, *np.indices((3, 3))),  # d_k dbar_l g_{i jbar}: [i + k, j + l]
+            field(3, 1, *np.indices((4, 2))),  # d_i d_j g_{k lbar}: [i + j + k, l]
+            field(2, 2, jk, i + l))            # dbar_i d_j g_{k lbar}: [i, j + k, l]
 
 
 _D, _DD, _T, _M2 = _index_tables()
+_RE, _IM, _IM_SIGN, _ROWS = _stack_rows()
 
 
 # -- monitor record --------------------------------------------------------
@@ -173,9 +205,10 @@ class MonitorEngine:
 
     Precomputes base-form derivative tables.  A record forms, one field at a
     time, the half-spectrum symbol product that turns a derivative of g into
-    two real inverse transforms of the single rfft of  w = e^{-t} psi_0 +
-    phi.  Each block's D, DD, T and M2 are fancy-indexed out of the stack of
-    the 23 fields by _D, _DD, _T and _M2 and contracted in the pointwise
+    one or two real inverse transforms of rfft(phi) + e^{-t} psi0_spec: 37
+    transforms for the 23 fields (see _stack_rows).  Each block's 41
+    independent components of D, DD, T and M2 are fancy-indexed out of the
+    stack's rows by _D, _DD, _T and _M2 and contracted in the pointwise
     orthonormal frame of g: the only whole-grid arrays are that stack, the
     three output fields, one field's product and one path of symbols.  The
     sample fibers' monitors take one batch of 2D transforms.
@@ -214,7 +247,8 @@ class MonitorEngine:
             [[g**k for g in self.gflat.ravel().tolist()] for k in (2, 3, 4, 1)])
 
     def _symbols(self):
-        """Real symbol pairs (index, parity, a, b) of the fields d_{holo} dbar_{anti} w.
+        """Real symbol pairs (index, parity, a, b) of the fields d_{holo} dbar_{anti} w
+        that have rows of their own in the real stack (see _stack_rows).
 
         A product of n first-derivative symbols is even or odd under k -> -k
         with n, so the field is irfft(a * spec) + 1j irfft(b * spec) with
@@ -222,13 +256,13 @@ class MonitorEngine:
         even (parity 0), spec = 1j w and (a, b) = (Im, -Re) when n is odd.
         A symbol is the product of its factors, holo's then anti's, taken
         from 1 left to right as math.prod takes it; walked depth-first, each
-        extends the longest prefix it shares with the last (32 products for
-        the 23 fields, not 86), and only that path is held.
+        extends the longest prefix it shares with the last (29 products for
+        the 20 fields, not 74), and only that path is held.
         """
         sh = self.grid.sym_half
         seqs = sorted((tuple(("holo", "bf"[m]) for m in holo)
                        + tuple(("anti", "bf"[q]) for q in anti), index)
-                      for index, (holo, anti) in enumerate(_FIELDS))
+                      for index, (holo, anti) in enumerate(_FIELDS) if _IM_SIGN[index] >= 0)
         partial = {(): 1}
         for seq, index in seqs:
             partial = {p: v for p, v in partial.items() if seq[:len(p)] == p}
@@ -245,22 +279,23 @@ class MonitorEngine:
     def curvature_fields(self, t: float, phi: np.ndarray, g: HermitianField):
         """Pointwise (s, rm2, grad2) fields, contracted in an orthonormal frame."""
         grid = self.grid
-        geom = self.geometry
         shape = grid.shape
-        a_t = 1.0 + (geom.spec.base_scale - 1.0) * math.exp(-t)
-        w_spec = grid.rfft(math.exp(-t) * geom.psi0 + phi)
-        # The 56 components of D, DD, T and M2 read only the 23 fields: 46
-        # inverse transforms.
+        a_t = 1.0 + (self.geometry.spec.base_scale - 1.0) * math.exp(-t)
+        # The spectrum of w as the stepper forms it: rfft(phi) + e^{-t} psi0_spec.
+        w_spec = self.geometry.psi0_spec * math.exp(-t)
+        w_spec += grid.rfft(phi)
+        # The 41 components of D, DD, T and M2 read 23 fields, stored in 37
+        # real rows: 37 inverse transforms.
         specs = (w_spec, 1j * w_spec)
-        f = np.empty((len(_FIELDS),) + shape, dtype=np.complex128)
+        stack = np.empty((_ROWS,) + shape)
         for index, parity, a, b in self._symbols():
-            f[index].real = grid.irfft(a * specs[parity], overwrite=True)
-            f[index].imag = grid.irfft(b * specs[parity], overwrite=True)
+            stack[_RE[index]] = grid.irfft(a * specs[parity], overwrite=True)
+            if _IM_SIGN[index]:
+                stack[_IM[index]] = grid.irfft(b * specs[parity], overwrite=True)
         del w_spec, specs, a, b
         # The base form a_t * chi enters only the pure-base components.
-        f[_D[0, 0, 0]] += a_t * self.dchi
-        f[_DD[0, 0, 0, 0]] += a_t * self.ddbar_chi
-        f[_T[0, 0, 0, 0]] += a_t * self.dd_chi
+        base = ((_D[0, 0], a_t * self.dchi), (_DD[0, 0], a_t * self.ddbar_chi),
+                (_T[0, 0], a_t * self.dd_chi))
 
         s_field, rm2_field, grad2_field = np.empty((3,) + shape)
         bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
@@ -268,46 +303,48 @@ class MonitorEngine:
             for rows in row_blocks(shape[1:]):
                 at = (ib, rows)
                 s_field[at], rm2_field[at], grad2_field[at] = self._slab_norms(
-                    f[(slice(None),) + at], at, bb[at], bf[at], ff[at])
+                    stack[(slice(None),) + at], at, base, bb[at], bf[at], ff[at])
         return s_field, rm2_field, grad2_field
 
-    def _slab_norms(self, f, at, bb, bf, ff):
-        """(s, rm2, grad2) on the block `at` of grid points from its derivative fields f.
+    def _slab_norms(self, rows, at, base, bb, bf, ff):
+        """(s, rm2, grad2) on the block `at` of grid points from its rows of the real stack.
 
-        Tensors hold their components on leading axes of length 2, in the
-        index order of the stacked tensors of oracle.py's generic path.
+        Each tensor holds its independent components on leading axes, one
+        per symmetric slot group, by the group's number of fiber slots.
         """
+        f = np.empty((len(_FIELDS),) + rows.shape[1:], dtype=np.complex128)
+        f.real = rows[_RE]
+        np.multiply(rows[_IM], _IM_SIGN[:, None, None, None], out=f.imag)
+        for index, form in base:
+            f[index] += form[at]
         gamma, dgamma_h, dgamma_a = self.gamma[at], self.dgamma_h[at], self.dgamma_a[at]
         g0 = np.stack((bb, bf))  # g_{0 lbar}
         d, dd, t, m2 = f[_D], f[_DD], f[_T], f[_M2]
 
         # gamma corrections, on the components where they are nonzero:
-        # W = nabla~ g, T = nabla~ W, M2 = nabla~bar W.  A component of T or
-        # M2 takes its terms in the order written.
+        # W = nabla~ g, T = nabla~ W, M2 = nabla~bar W.
         w = d.copy()
-        w[0, 0] -= gamma * g0
-        t[0, 0, 0] -= dgamma_h * g0
-        t[:, 0, 0] -= gamma * d[:, 0]
-        t[0, 0] -= gamma * w[0]
-        t[0, :, 0] -= gamma * w[:, 0]
-        m2[0, 0, 0] -= dgamma_a * g0
-        m2[:, 0, 0] -= gamma * np.conj(d[:, :, 0])
-        m2[0, :, :, 0] -= np.conj(gamma) * w[:, :, 0]
+        w[0] -= gamma * g0
+        t[0] -= dgamma_h * g0
+        t[0] -= gamma * (d[0] + 2.0 * w[0])
+        t[1] -= gamma * w[1]
+        m2[0, 0] -= dgamma_a * g0
+        m2[:, 0] -= gamma * np.conj(d[[[0, 1], [1, 2]], 0])  # d[i + l, 0] at [i, l]
+        m2[0, :, 0] -= np.conj(gamma) * w[:, 0]
 
         frame = _frame(bb, bf, ff)
-        _to_frame(w, frame, "hha")
-        _to_frame(t, frame, "hhha")
-        _to_frame(m2, frame, "ahha")
+        _to_frame(w, frame, "ha")
+        _to_frame(t, frame, "ha")
+        _to_frame(m2, frame, "aha")
         # Rm_{i jbar k lbar} = quad - dd with quad = g^{qbar p} d_k g_{i qbar}
-        # conj(d_l g_{j pbar}); in the frame, quad = sum_m D'[k,i,m]
-        # conj(D'[l,j,m]) with D' the frame transform of d.
-        _to_frame(d, frame, "hha")
-        _to_frame(dd, frame, "haha")
-        a = d.swapaxes(0, 1)  # a[i, k, m] = D'[k, i, m]
-        rm = a[:, None, :, None, 0] * np.conj(a[None, :, None, :, 0])
-        rm += a[:, None, :, None, 1] * np.conj(a[None, :, None, :, 1])
+        # conj(d_l g_{j pbar}); in the frame, quad[p, q] = sum_m D'[p, m]
+        # conj(D'[q, m]) with D' the frame transform of d.
+        _to_frame(d, frame, "ha")
+        _to_frame(dd, frame, "ha")
+        rm = d[:, None, 0] * np.conj(d[None, :, 0])
+        rm += d[:, None, 1] * np.conj(d[None, :, 1])
         rm -= dd
-        return _sum_sq(w, 3), _sum_sq(rm, 4), 2.0 * (_sum_sq(t, 4) + _sum_sq(m2, 4))
+        return _sum_sq(w, 2), _sum_sq(rm, 2), 2.0 * (_sum_sq(t, 2) + _sum_sq(m2, 3))
 
     def record(self, t: float, phi: np.ndarray, rhs: np.ndarray,
                g: HermitianField) -> MonitorRecord:

@@ -116,9 +116,10 @@ class SurrogateGeometry:
 
     Everything downstream (flow right-hand side, monitors, fits) reads the
     geometry through this object.  It keeps only the fields a run reads:
-    chi, psi_0 and its spectrum, the flat fiber data rho and g_flat, the
-    pinned density and the base Christoffel symbol.  omega_0, which only
-    construction and the fold oracle read, is rebuilt by initial_form().
+    chi, psi_0's spectrum (psi_0 itself is irfft(psi0_spec)), the flat fiber
+    data rho and g_flat, the pinned density and the base Christoffel symbol.
+    omega_0, which only construction and the fold oracle read, is rebuilt by
+    initial_form().
     """
 
     def __init__(self, grid: SpectralGrid, spec: GeometrySpec, psi0: np.ndarray | None = None):
@@ -137,16 +138,13 @@ class SurrogateGeometry:
         self.chi = self.chi2[:, :, None, None]
         self.g_fiber = 1.0  # omega_E coefficient in the z_f frame
 
-        x, y, u, v = grid.coords
         if psi0 is None:
-            psi0 = spec.psi0_amplitude * PSI0_PRESETS[spec.psi0_preset](x, y, u, v)
-        self.psi0 = np.ascontiguousarray(np.broadcast_to(psi0, grid.shape))
-        self.psi0_spec = grid.rfft(self.psi0)  # the flow folds psi_0 in spectrally
+            psi0 = spec.psi0_amplitude * PSI0_PRESETS[spec.psi0_preset](*grid.coords)
+        self.psi0_spec = grid.rfft(psi0)  # the flow folds psi_0 in spectrally
+        del psi0
 
-        omega0 = self.initial_form()
-        _validate_omega0(omega0)
-        self.rho, self.g_flat = self._solve_flat_fiber(omega0.ff)
-        del omega0
+        # omega_0's other blocks are gone before the flat-fiber solve.
+        self.rho, self.g_flat = self._solve_flat_fiber(_fiber_block(self.initial_form()))
 
         self.density = self.chi * self.g_flat
         if np.min(self.density) <= 0.0:
@@ -187,7 +185,8 @@ class SurrogateGeometry:
         return HermitianField(self.chi, zero + 0.0j, zero + self.g_fiber * float(np.exp(-t)))
 
 
-def _validate_omega0(omega0: HermitianField) -> None:
+def _fiber_block(omega0: HermitianField) -> np.ndarray:
+    """omega_0's ff block, after checking that omega_0 is positive."""
     ff_min = float(np.min(omega0.ff))
     if ff_min <= 0.0:
         raise SingularFiberMetric(
@@ -199,3 +198,4 @@ def _validate_omega0(omega0: HermitianField) -> None:
         raise SingularMetric(
             f"initial form is not positive: min bb {bb_min:.6g}, min det {det_min:.6g}"
         )
+    return omega0.ff

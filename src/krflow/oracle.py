@@ -78,9 +78,10 @@ def hessian_refinement_error(n: int, tau: complex = 1j, seed: int | None = None)
     block is one irfft of symbol x spectrum, and the matching roll block is
     built slab by slab along an axis its rolls do not touch (bb over u, ff
     over x) or, for bf, whose rolls touch every axis, on u-planes with their
-    two neighbours, each evaluated from its coordinates.  Besides the one
-    spectrum, at most two whole fields (bf's Re and Im) and one product are
-    alive at once; the maximum is the whole-grid one, bit for bit.
+    two neighbours, each evaluated from its coordinates, in a window that
+    slides one plane a step (n + 2 plane evaluations, not 3n).  Besides the
+    one spectrum, at most two whole fields (bf's Re and Im) and one product
+    are alive at once; the maximum is the whole-grid one, bit for bit.
     """
     grid = SpectralGrid(n, n, tau)
     s_bb, s_ff, s_re, s_im = grid._half_hessian_syms  # formed before the spectrum
@@ -99,10 +100,12 @@ def hessian_refinement_error(n: int, tau: complex = 1j, seed: int | None = None)
     spec *= s_im
     im = grid.irfft(spec, overwrite=True)
     del spec
+    planes = _test_field(grid, seed, 2, [1, 0, n - 1])
     for k in range(n):
-        planes = _test_field(grid, seed, 2, [(k + 1) % n, k, (k - 1) % n])
         gap = re[:, :, k] + 1j * im[:, :, k] - _bf_plane_oracle(grid, planes)
         err = max(err, float(np.max(np.abs(gap))))
+        planes[:, :, 1:] = planes[:, :, :2]  # slide the window one plane on
+        planes[:, :, :1] = _test_field(grid, seed, 2, [(k + 2) % n])
     return err
 
 
@@ -179,7 +182,9 @@ def dense_fiber_poisson_oracle(grid: SpectralGrid, rhs2: np.ndarray) -> np.ndarr
 
     Builds the second-order Hessian operator column by column, pins the
     mean, and solves with LAPACK.  Small fibers only; this exists to check
-    the FFT solve, not to be fast.
+    the FFT solve, not to be fast.  The stencil's kernel is the constants
+    and its range is mean-free, so adding 1/m to every entry makes the
+    matrix nonsingular and leaves the mean-free solution as it is.
     """
     nf = grid.n_fiber
     m = nf * nf
@@ -189,11 +194,8 @@ def dense_fiber_poisson_oracle(grid: SpectralGrid, rhs2: np.ndarray) -> np.ndarr
         basis.flat[j] = 1.0
         cols[:, j] = fiber_hessian_oracle(grid, basis).ravel()
         basis.flat[j] = 0.0
-    # Rank-deficient by one (constants); augment with a mean-zero constraint.
-    a = np.vstack([cols, np.full((1, m), 1.0 / m)])
-    b = np.concatenate([rhs2.ravel() - rhs2.mean(), [0.0]])
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return sol.reshape(nf, nf)
+    cols += 1.0 / m
+    return np.linalg.solve(cols, rhs2.ravel() - rhs2.mean()).reshape(nf, nf)
 
 
 def homogeneous_potential_oracle(a0: float, t_eval: np.ndarray) -> np.ndarray:
@@ -386,7 +388,7 @@ def fold_oracle(geometry, seed: int | None = None) -> OracleReport:
         GeometrySpec(base_level=spec.base_level, base_ripple=spec.base_ripple,
                      base_scale=1.5 * max(spec.base_scale, 1.0),
                      fiber_scale=2.0 * max(spec.fiber_scale, 1.0)),
-        psi0=geometry.psi0,
+        psi0=geometry.grid.irfft(geometry.psi0_spec),
     )
     problem = FlowProblem(twin)
     omega0 = twin.initial_form()

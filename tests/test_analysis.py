@@ -24,8 +24,8 @@ from krflow.geometry import GeometrySpec, SurrogateGeometry
 from krflow.oracle import christoffel_deviation, covariant_hessian_squared, curvature_squared
 
 
-def make_problem(n=16, **kw):
-    grid = SpectralGrid(n, n)
+def make_problem(n=16, tau=1j, **kw):
+    grid = SpectralGrid(n, n, tau)
     geom = SurrogateGeometry(grid, GeometrySpec(**kw))
     return grid, geom, FlowProblem(geom)
 
@@ -55,26 +55,79 @@ def test_reference_code_lives_in_oracle():
 
 def test_index_tables_read_the_sorted_derivative_multisets():
     # Mixed partials commute, so each slab component reads the field of its
-    # sorted (holo, anti) index multiset, and every stacked field is read.
+    # sorted (holo, anti) index multiset.  The tables hold one entry per
+    # symmetric slot group, indexed by its number of fiber slots, and every
+    # stacked field is read.
     fields = analysis._FIELDS
 
     def field(holo, anti):
         return fields.index((tuple(sorted(holo)), tuple(sorted(anti))))
 
     assert len(set(fields)) == len(fields) == 23
-    for m, i, q in np.ndindex(2, 2, 2):
-        assert analysis._D[m, i, q] == field((m, i), (q,))
-    for i, j, k, l in np.ndindex(2, 2, 2, 2):
-        assert analysis._DD[i, j, k, l] == field((k, i), (l, j))
-        assert analysis._T[i, j, k, l] == field((i, j, k), (l,))
-        assert analysis._M2[i, j, k, l] == field((j, k), (i, l))
     tables = (analysis._D, analysis._DD, analysis._T, analysis._M2)
+    assert [t.shape for t in tables] == [(3, 2), (3, 3), (4, 2), (2, 3, 2)]
+    assert sum(t.size for t in tables) == 35
+    for m, i, q in np.ndindex(2, 2, 2):
+        assert analysis._D[m + i, q] == field((m, i), (q,))
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        assert analysis._DD[i + k, j + l] == field((k, i), (l, j))
+        assert analysis._T[i + j + k, l] == field((i, j, k), (l,))
+        assert analysis._M2[i, j + k, l] == field((j, k), (i, l))
     assert set(np.concatenate([t.ravel() for t in tables]).tolist()) == set(range(23))
 
 
+def test_stack_rows_store_each_conjugate_pair_once():
+    # Of the 23 fields, the three (2, 2) fields with holo = anti are real
+    # (one row) and the three with holo after anti read their partner's rows
+    # with Im negated: 37 real rows.
+    fields, re, im, sign = analysis._FIELDS, analysis._RE, analysis._IM, analysis._IM_SIGN
+    assert analysis._ROWS == 37
+    own = sorted(np.concatenate([re[sign >= 0], im[sign > 0]]).tolist())
+    assert own == list(range(37))
+    for index, (holo, anti) in enumerate(fields):
+        if len(holo) == len(anti) == 2 and holo != anti:
+            partner = fields.index((anti, holo))
+            assert (sign[index] == -1.0) == (holo > anti)
+            assert (re[index], im[index]) == (re[partner], im[partner])
+        else:
+            assert sign[index] == (0.0 if holo == anti else 1.0)
+
+
+def test_slot_groups_move_into_the_frame_as_the_full_tensor():
+    # A tensor symmetric within each slot group, moved into the frame slot by
+    # slot on all 2**rank components, equals its independent components
+    # moved by the groups' closed forms, and has the same sum of squares.
+    rng = np.random.default_rng(0)
+    e00, e11 = rng.random((2, 5)) + 0.5
+    e10 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    e = np.array([[e00, 0.0 * e00], [e10, e11]])  # E[a, b] at each of 5 points
+    for groups in (("hh", "a"), ("hh", "aa"), ("hhh", "a"), ("a", "hh", "a")):
+        shape = [len(g) + 1 for g in groups] + [5]
+        ind = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        slots = "".join(groups)
+        bounds = np.cumsum([0] + [len(g) for g in groups])
+
+        def counts(idx):
+            return tuple(sum(idx[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+        full = np.empty((2,) * len(slots) + (5,), dtype=complex)
+        for idx in np.ndindex(full.shape[:-1]):
+            full[idx] = ind[counts(idx)]
+        for axis, slot in enumerate(slots):
+            moved = np.einsum("abp,b...p->a...p", e if slot == "h" else np.conj(e),
+                              np.moveaxis(full, axis, 0))
+            full = np.moveaxis(moved, 0, axis)
+        analysis._to_frame(ind, (e00, e10, e11), "".join(g[0] for g in groups))
+        for idx in np.ndindex(full.shape[:-1]):
+            assert np.allclose(full[idx], ind[counts(idx)], rtol=1e-13, atol=0.0)
+        sq = np.sum(np.abs(full.reshape(-1, 5)) ** 2, axis=0)
+        assert np.allclose(analysis._sum_sq(ind, len(groups)), sq, rtol=1e-13, atol=0.0)
+
+
 def test_symbol_walk_forms_each_field_as_its_product():
-    # The depth-first walk over shared prefixes gives every field once, each
-    # symbol bit-identical to math.prod of its factors, holo's then anti's.
+    # The depth-first walk over shared prefixes gives every field with rows
+    # of its own once, each symbol bit-identical to math.prod of its
+    # factors, holo's then anti's.
     grid, _, prob = make_problem(8)
     sh = grid.sym_half
     seen = []
@@ -86,14 +139,15 @@ def test_symbol_walk_forms_each_field_as_its_product():
         want = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
         assert a.tobytes() == want[0].tobytes() and b.tobytes() == want[1].tobytes()
         seen.append(index)
-    assert sorted(seen) == list(range(23))
+    assert sorted(seen) == np.flatnonzero(analysis._IM_SIGN >= 0).tolist()
+    assert len(seen) == 20
 
 
 class TestEngineVsGeneric:
     @staticmethod
-    def _input():
+    def _input(tau=1j):
         grid, geom, prob = make_problem(
-            base_scale=1.3, fiber_scale=1.5, psi0_preset="mixed",
+            tau=tau, base_scale=1.3, fiber_scale=1.5, psi0_preset="mixed",
             psi0_amplitude=0.03)
         x, _, u, _ = grid.coords
         phi = np.ascontiguousarray(np.broadcast_to(
@@ -115,6 +169,14 @@ class TestEngineVsGeneric:
         assert rel_gap(s_f, s_g) < 1e-10
         assert rel_gap(rm2_f, rm2_g) < 1e-10
         assert rel_gap(grad2_f, grad2_g) < 1e-10
+
+    def test_oblique_modulus_matches_generic_path(self):
+        # At tau = 0.3 + 1.2i the fiber symbols are not real multiples of
+        # kv, so the conjugate-pair fields and the frame's e10 are generic.
+        grid, geom, phi, g, eng = self._input(0.3 + 1.2j)
+        fast = eng.curvature_fields(0.7, phi, g)
+        for f, ref in zip(fast, self._generic(grid, geom, g, eng)):
+            assert rel_gap(f, ref) < 1e-10
 
     def test_generic_path_identical_across_worker_counts(self, monkeypatch):
         # The full-spectrum transforms follow the grid's worker rule: one
@@ -291,11 +353,63 @@ class TestMonitorRecords:
             assert np.isfinite(rec.rm2_max) and rec.rm2_max >= 0.0
             assert np.isfinite(rec.grad2_max) and rec.grad2_max >= 0.0
 
+    def test_record_takes_37_inverse_transforms_and_one_forward(self, monkeypatch):
+        # One rfft of phi, and one irfft per row of the real stack.  The
+        # stack's 23 complex fields are the derivatives of w = e^{-t} psi_0
+        # + phi, each conjugate (2, 2) field exactly its partner's
+        # conjugate and each diagonal one real.
+        grid, geom, prob = make_problem(
+            8, tau=0.3 + 1.2j, psi0_preset="mixed", psi0_amplitude=0.03)
+        x, _, u, _ = grid.coords
+        phi = 0.01 * np.cos(2.0 * np.pi * (x + u)) * np.ones(grid.shape)
+        t = 0.5
+        rhs, g = prob.rhs(phi, t)
+        eng = MonitorEngine(prob)
+        calls, stacks = [], []
+
+        def counted(name):
+            orig = getattr(SpectralGrid, name)
+
+            def wrapper(self, *args, **kw):
+                calls.append(name)
+                return orig(self, *args, **kw)
+            return wrapper
+
+        def slab_norms(self, rows, *args):
+            stacks.append(rows.base)
+            return orig_slab_norms(self, rows, *args)
+
+        orig_slab_norms = MonitorEngine._slab_norms
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(SpectralGrid, name, counted(name))
+        monkeypatch.setattr(MonitorEngine, "_slab_norms", slab_norms)
+        eng.record(t, phi, rhs, g)
+        assert calls.count("rfft") == 1 and calls.count("irfft") == 37
+        stack = stacks[0]
+        assert stack.shape == (37,) + grid.shape
+        assert all(s is stack for s in stacks)
+
+        f = stack[analysis._RE] + 1j * (analysis._IM_SIGN[:, None, None, None, None]
+                                        * stack[analysis._IM])
+        fields = analysis._FIELDS
+        w_hat = oracle.fft_c(grid, math.exp(-t) * grid.irfft(geom.psi0_spec) + phi)
+        sym = oracle.sym_full(grid)
+        for index, (holo, anti) in enumerate(fields):
+            if len(holo) == len(anti) == 2:
+                if holo == anti:
+                    assert np.all(f[index].imag == 0.0)
+                else:
+                    assert np.array_equal(f[index], np.conj(f[fields.index((anti, holo))]))
+            direct = oracle.ifft_c(grid, math.prod(
+                [sym[("holo", "bf"[m])] for m in holo]
+                + [sym[("anti", "bf"[q])] for q in anti]) * w_hat)
+            assert rel_gap(f[index], direct) < 1e-12
+
     def test_record_working_set(self):
         # Traced from the call, the inputs already allocated, in whole real
-        # fields: 63.6 at 16^4 (53.4 at 32^4), where the derivative stack of
-        # 46 fields is the one large array.  Eigenvalue, trace and
-        # volume-ratio fields alive beside that stack read 67.6.
+        # fields: 51.4 at 16^4 (44.4 at 32^4), where the real stack of 37
+        # rows is the one large array.  A complex stack of all 23 fields,
+        # with psi_0's field in the spectrum's input, read 63.6.
         grid, geom, prob = make_problem(psi0_preset="mixed")
         eng = MonitorEngine(prob)
         x, _, u, _ = grid.coords
@@ -308,7 +422,7 @@ class TestMonitorRecords:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - start) / (8 * 16**4) <= 65.0
+        assert (peak - start) / (8 * 16**4) <= 52.0
 
 
 class TestDecayFit:

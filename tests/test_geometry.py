@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from krflow.analysis import MonitorEngine
 from krflow.discretization import SpectralGrid
 from krflow.errors import ConfigInvalid, SingularFiberMetric, SingularMetric
 from krflow.flow import FlowProblem
-from krflow.geometry import GeometrySpec, SurrogateGeometry
+from krflow.geometry import PSI0_PRESETS, GeometrySpec, SurrogateGeometry
 from krflow.oracle import hat
 
 TP = 2.0 * np.pi
@@ -100,7 +103,7 @@ class TestFlatFiber:
 
     def test_rho_differs_from_psi0_by_fiber_constant(self):
         geom = make(psi0_preset="mixed", psi0_amplitude=0.05)
-        s = geom.rho + geom.psi0
+        s = geom.rho + 0.05 * PSI0_PRESETS["mixed"](*geom.grid.coords)
         drift = s - s.mean(axis=(2, 3), keepdims=True)
         assert np.max(np.abs(drift)) < 1e-12
 
@@ -138,14 +141,34 @@ def _retained_bytes(obj, owners):
     return owners
 
 
+def _fields(nbytes, grid):
+    return nbytes / (8 * math.prod(grid.shape))
+
+
 def test_geometry_keeps_only_what_a_run_reads():
-    # psi_0, its half spectrum and rho are the whole-grid arrays a run reads
-    # (about 3.14 fields); omega_0 is rebuilt by initial_form, not kept.
+    # psi_0's half spectrum and rho are the whole-grid arrays a run reads
+    # (about 2.14 fields); psi_0 itself and omega_0 are not kept.
     geom = make(psi0_preset="mixed")
-    fields = sum(_retained_bytes(geom, {}).values()) / (8 * geom.psi0.size)
-    assert fields <= 3.5
-    for name in ("omega0", "chi_form", "fiber_form", "flat_fiber", "volume"):
+    assert _fields(sum(_retained_bytes(geom, {}).values()), geom.grid) <= 2.5
+    for name in ("psi0", "omega0", "chi_form", "fiber_form", "flat_fiber", "volume"):
         assert not hasattr(geom, name), name
+
+
+def test_geometry_build_peak():
+    # Traced with the grid's symbols cached by a first build: omega_0's bb
+    # and bf blocks and psi_0 are dropped before the flat-fiber solve, which
+    # reads only the ff block.  Holding them, the build peaked at 13.2
+    # whole fields at 16^4.
+    grid = SpectralGrid(16, 16)
+    spec = GeometrySpec(psi0_preset="mixed")
+    SurrogateGeometry(grid, spec)
+    tracemalloc.start()
+    try:
+        SurrogateGeometry(grid, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _fields(peak, grid) <= 10.5
 
 
 def test_monitor_engine_keeps_no_whole_grid_array_beyond_the_geometrys():
@@ -156,4 +179,4 @@ def test_monitor_engine_keeps_no_whole_grid_array_beyond_the_geometrys():
     own = _retained_bytes(MonitorEngine(FlowProblem(geom)), {})
     for key in _retained_bytes(geom, {}):
         del own[key]
-    assert sum(own.values()) / (8 * geom.psi0.size) < 0.25
+    assert _fields(sum(own.values()), geom.grid) < 0.25
