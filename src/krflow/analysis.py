@@ -30,11 +30,14 @@ The fast per-sample path (MonitorEngine) expresses every derivative of g
 through the spectrum of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
 non-product content of g), formed as the stepper forms it, rfft(phi) +
 e^{-t} psi0_spec, plus closed-form derivatives of the base form: 23
-distinct fields in 37 real rows of one stack (see _stack_rows).
-Everything after that runs on blocks of at most _BLOCK_POINTS grid points
-(a base slab, or rows of one), so the pointwise algebra's working set stays
-near 7 MiB as slabs grow.  g and the reference are Kahler and the
-reference's (2, 0) curvature vanishes, so D and W are symmetric in their
+distinct fields in 37 real rows (see _stack_rows).  The rows are streamed
+over base slabs: (i kx)^p w, p = 0..4, goes back along x once, and each
+slab's rows are summed from those five and transformed back in one batch
+(see _slab_terms), so no row exists on the whole grid.  The pointwise
+algebra then runs on blocks of at most _BLOCK_POINTS grid points (a base
+slab, or rows of one), so its working set stays near 7 MiB as slabs grow.
+g and the reference are Kahler and the reference's (2, 0) curvature
+vanishes, so D and W are symmetric in their
 two holomorphic slots, T in its three, M2 in (j, k), and DD and Rm in
 (i, k) and in (j, l) (Song & Weinkove, arXiv:1212.3653): a block reads
 their 41 independent components, not 64, by integer index tables.  g = L L*
@@ -60,8 +63,10 @@ import numpy as np
 from .discretization import (
     HermitianField,
     SpectralGrid,
-    relative_eigen_bounds,
+    _odd_wavenumbers,
+    eigen_range,
     row_blocks,
+    sup_abs,
     trace_with,
 )
 from .errors import ConfigInvalid, InsufficientSamples
@@ -203,15 +208,15 @@ class MonitorRecord:
 class MonitorEngine:
     """Per-sample monitor evaluation for one FlowProblem.
 
-    Precomputes base-form derivative tables.  A record forms, one field at a
-    time, the half-spectrum symbol product that turns a derivative of g into
-    one or two real inverse transforms of rfft(phi) + e^{-t} psi0_spec: 37
-    transforms for the 23 fields (see _stack_rows).  Each block's 41
-    independent components of D, DD, T and M2 are fancy-indexed out of the
-    stack's rows by _D, _DD, _T and _M2 and contracted in the pointwise
-    orthonormal frame of g: the only whole-grid arrays are that stack, the
-    three output fields, one field's product and one path of symbols.  The
-    sample fibers' monitors take one batch of 2D transforms.
+    Precomputes base-form derivative tables.  A record streams the 37 real
+    rows of the 23 derivative fields over base slabs (curvature_maxima):
+    each block's 41 independent components of D, DD, T and M2 are
+    fancy-indexed out of the slab's rows by _D, _DD, _T and _M2 and
+    contracted in the pointwise orthonormal frame of g, and only the
+    running maxima are kept.  The only whole-grid arrays it forms are the
+    five x-transformed half spectra (i kx)^p w; the eigenvalue, trace,
+    volume-ratio and distance extrema are taken by row blocks.  The sample
+    fibers' monitors take one batch of 2D transforms.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -246,65 +251,91 @@ class MonitorEngine:
         self.fiber_scales = np.array(
             [[g**k for g in self.gflat.ravel().tolist()] for k in (2, 3, 4, 1)])
 
-    def _symbols(self):
-        """Real symbol pairs (index, parity, a, b) of the fields d_{holo} dbar_{anti} w
-        that have rows of their own in the real stack (see _stack_rows).
+    def _slab_terms(self):
+        """Per group of fields with j holomorphic and l antiholomorphic base
+        derivatives: q = j + l, the base coefficients b_0..b_q and, per field
+        with rows of its own, m % 2 (m its number of fiber derivatives) and
+        each of its stack rows' fiber coefficients (c_e, c_o).
 
-        A product of n first-derivative symbols is even or odd under k -> -k
-        with n, so the field is irfft(a * spec) + 1j irfft(b * spec) with
-        real a, b: spec = w and (a, b) = (Re, Im) of the symbol when n is
-        even (parity 0), spec = 1j w and (a, b) = (Im, -Re) when n is odd.
-        A symbol is the product of its factors, holo's then anti's, taken
-        from 1 left to right as math.prod takes it; walked depth-first, each
-        extends the longest prefix it shares with the last (29 products for
-        the 20 fields, not 74), and only that path is held.
+        A field's symbol is B F with B = s_b^j sbar_b^l = 2^-q (X + ky)^j
+        (X - ky)^l = sum_p X^p b_p, X = i kx and b_p real, and F its product
+        of fiber symbols.  A slab of (i kx)^p w's x-transform is Hermitian in
+        (ky, ku, kv), b_p is even or odd in ky with q - p, and F even or odd
+        with m; so with E and O the sums of b_p times those slabs over the p
+        with q - p of m's parity and of the other, the field's Re row is the
+        3D irfft of Re F E + i Im F O, and its Im row of Im F E - i Re F O.
+        Every array is complex, so no product casts.
         """
-        sh = self.grid.sym_half
-        seqs = sorted((tuple(("holo", "bf"[m]) for m in holo)
-                       + tuple(("anti", "bf"[q]) for q in anti), index)
-                      for index, (holo, anti) in enumerate(_FIELDS) if _IM_SIGN[index] >= 0)
-        partial = {(): 1}
-        for seq, index in seqs:
-            partial = {p: v for p, v in partial.items() if seq[:len(p)] == p}
-            for n in range(1, len(seq) + 1):
-                if seq[:n] not in partial:
-                    partial[seq[:n]] = partial[seq[:n - 1]] * sh[seq[n - 1]]
-            sym = partial[seq]
-            parity = len(seq) % 2
-            a, b = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
-            yield index, parity, a, b
+        grid = self.grid
+        ky = _odd_wavenumbers(grid.n_base).reshape(1, -1, 1, 1) + 0j
+        fiber = {"holo": grid.sym_half[("holo", "f")], "anti": grid.sym_half[("anti", "f")]}
+        terms = {}
+        for index, (holo, anti) in enumerate(_FIELDS):
+            if _IM_SIGN[index] < 0:
+                continue  # it reads its partner's rows
+            j, l = holo.count(0), anti.count(0)
+            if (j, l) not in terms:
+                b = [np.ones_like(ky)]
+                for sign in (0.5,) * j + (-0.5,) * l:  # times (X + sign 2 ky) / 2
+                    b = [sign * ky * c + 0.5 * prev for c, prev in zip(b + [0.0], [0.0] + b)]
+                terms[j, l] = (j + l, b, [])
+            fib = math.prod([fiber["holo"]] * holo.count(1) + [fiber["anti"]] * anti.count(1),
+                            start=np.ones_like(fiber["holo"]))
+            coefs = ((fib.real + 0j, 1j * fib.imag), (fib.imag + 0j, -1j * fib.real))
+            rows = (_RE[index], _IM[index])[:1 + bool(_IM_SIGN[index])]
+            m = holo.count(1) + anti.count(1)
+            terms[j, l][2].append((m % 2, list(zip(rows, coefs))))
+        return list(terms.values())
 
     # .. per-sample record ................................................
 
-    def curvature_fields(self, t: float, phi: np.ndarray, g: HermitianField):
-        """Pointwise (s, rm2, grad2) fields, contracted in an orthonormal frame."""
+    def curvature_maxima(self, t: float, phi: np.ndarray, g: HermitianField):
+        """(s_max, rm2_max, grad2_max), streamed over base slabs.
+
+        The spectrum of w is taken as the stepper forms it, rfft(phi) +
+        e^{-t} psi0_spec, and (i kx)^p times it, p = 0..4, back along x.  Per
+        base slab the 37 rows' (ky, ku, kv) half spectra are summed from
+        those (see _slab_terms) and go back in one batch; _slab_norms takes
+        the slab by row blocks, and only the running maxima are kept.
+        """
         grid = self.grid
         shape = grid.shape
-        a_t = 1.0 + (self.geometry.spec.base_scale - 1.0) * math.exp(-t)
-        # The spectrum of w as the stepper forms it: rfft(phi) + e^{-t} psi0_spec.
-        w_spec = self.geometry.psi0_spec * math.exp(-t)
-        w_spec += grid.rfft(phi)
-        # The 41 components of D, DD, T and M2 read 23 fields, stored in 37
-        # real rows: 37 inverse transforms.
-        specs = (w_spec, 1j * w_spec)
-        stack = np.empty((_ROWS,) + shape)
-        for index, parity, a, b in self._symbols():
-            stack[_RE[index]] = grid.irfft(a * specs[parity], overwrite=True)
-            if _IM_SIGN[index]:
-                stack[_IM[index]] = grid.irfft(b * specs[parity], overwrite=True)
-        del w_spec, specs, a, b
+        e = math.exp(-t)
+        a_t = 1.0 + (self.geometry.spec.base_scale - 1.0) * e
+        w = grid.rfft(phi)
+        for rows in row_blocks(w.shape):
+            w[rows] += self.geometry.psi0_spec[rows] * e
+        ikx = 1j * _odd_wavenumbers(grid.n_base).reshape(-1, 1, 1, 1)
+        xw = [w]
+        for _ in range(4):
+            xw.append(xw[-1] * ikx)
+        xw = [grid.ifft_x(s) for s in xw]
+        terms = self._slab_terms()
         # The base form a_t * chi enters only the pure-base components.
         base = ((_D[0, 0], a_t * self.dchi), (_DD[0, 0], a_t * self.ddbar_chi),
                 (_T[0, 0], a_t * self.dd_chi))
-
-        s_field, rm2_field, grad2_field = np.empty((3,) + shape)
         bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
+
+        maxima = np.full(3, -np.inf)
+        spec = np.empty((_ROWS, 1) + xw[0].shape[1:], dtype=complex)  # one slab's rows
         for ib in range(shape[0]):
-            for rows in row_blocks(shape[1:]):
-                at = (ib, rows)
-                s_field[at], rm2_field[at], grad2_field[at] = self._slab_norms(
-                    stack[(slice(None),) + at], at, base, bb[at], bf[at], ff[at])
-        return s_field, rm2_field, grad2_field
+            xs = slice(ib, ib + 1)
+            ws = [s[xs] for s in xw]
+            for q, b, members in terms:
+                sums = [0.0, 0.0]  # E and O by the parity of q - p (see _slab_terms)
+                for p, coef in enumerate(b):
+                    sums[(q - p) % 2] = sums[(q - p) % 2] + coef * ws[p]
+                for m, rows in members:
+                    for row, (c_e, c_o) in rows:
+                        np.multiply(sums[m], c_e, out=spec[row])
+                        spec[row] += c_o * sums[1 - m]
+            stack = grid.slab_irfft(spec)
+            for ys in row_blocks(shape[1:]):
+                at = (xs, ys)
+                norms = self._slab_norms(stack[:, :, ys], at, base, bb[at], bf[at], ff[at])
+                maxima = np.maximum(maxima, [x.max() for x in norms])
+            del stack  # before the next slab's
+        return tuple(maxima.tolist())
 
     def _slab_norms(self, rows, at, base, bb, bf, ff):
         """(s, rm2, grad2) on the block `at` of grid points from its rows of the real stack.
@@ -314,7 +345,7 @@ class MonitorEngine:
         """
         f = np.empty((len(_FIELDS),) + rows.shape[1:], dtype=np.complex128)
         f.real = rows[_RE]
-        np.multiply(rows[_IM], _IM_SIGN[:, None, None, None], out=f.imag)
+        np.multiply(rows[_IM], _IM_SIGN.reshape((-1,) + (1,) * (rows.ndim - 1)), out=f.imag)
         for index, form in base:
             f[index] += form[at]
         gamma, dgamma_h, dgamma_a = self.gamma[at], self.dgamma_h[at], self.dgamma_a[at]
@@ -353,13 +384,21 @@ class MonitorEngine:
         shape = grid.shape
         e_t = math.exp(t)
 
-        # The curvature maxima first: no pointwise field below is alive
-        # beside the derivative stack.
-        s_max, rm2_max, grad2_max = (float(np.max(x)) for x in self.curvature_fields(t, phi, g))
+        # The curvature maxima first, then the pointwise extrema by row
+        # blocks: no whole-field temporary is alive beside the x-transforms.
+        s_max, rm2_max, grad2_max = self.curvature_maxima(t, phi, g)
         tilde = geom.tilde(t)
-        lo, hi = relative_eigen_bounds(g, tilde)
-        tr = trace_with(g, tilde)
-        ratio = e_t * g.det() / geom.density
+        bb, re, im, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf.real, g.bf.imag, g.ff))
+        eig_min, eig_max = eigen_range((bb, re, im, ff), tilde)
+        density = np.broadcast_to(geom.density, shape)
+        ext = []
+        for rows in row_blocks(shape):
+            gr = HermitianField.from_parts(bb[rows], re[rows], im[rows], ff[rows])
+            tr = trace_with(gr, HermitianField(tilde.bb[rows], tilde.bf, tilde.ff))
+            ratio = e_t * gr.det() / density[rows]
+            ext.append([tr.min(), tr.max(), ratio.min(), ratio.max(),
+                        np.abs(bb[rows] - self.chi[rows]).max()])
+        lo, hi = np.min(ext, axis=0).tolist(), np.max(ext, axis=0).tolist()
 
         # The sample fibers, stacked on a leading axis: each fiber monitor
         # is a per-fiber sup, scaled, then maximized over the fibers.
@@ -376,14 +415,14 @@ class MonitorEngine:
 
         return MonitorRecord(
             t=t,
-            sup_phi=float(np.max(np.abs(phi))),
-            sup_phidot=float(np.max(np.abs(rhs))),
-            vol_ratio_min=float(np.min(ratio)),
-            vol_ratio_max=float(np.max(ratio)),
-            rel_eig_min=float(np.min(lo)),
-            rel_eig_max=float(np.max(hi)),
-            trace_min=float(np.min(tr)),
-            trace_max=float(np.max(tr)),
+            sup_phi=sup_abs(phi),
+            sup_phidot=sup_abs(rhs),
+            vol_ratio_min=lo[2],
+            vol_ratio_max=hi[3],
+            rel_eig_min=eig_min,
+            rel_eig_max=eig_max,
+            trace_min=lo[0],
+            trace_max=hi[1],
             s_max=s_max,
             rm2_max=rm2_max,
             grad2_max=grad2_max,
@@ -391,9 +430,7 @@ class MonitorEngine:
             fiber_dev1=dev1,
             fiber_dev2=dev2,
             delta_psi_residual=resid,
-            distance_to_limit=float(
-                np.max(np.abs(np.broadcast_to(g.bb, shape) - self.chi))
-            ),
+            distance_to_limit=hi[4],
         )
 
 

@@ -130,6 +130,23 @@ def relative_eigen_bounds(g: HermitianField, ref: HermitianField):
     return (b - root) / (2.0 * a), (b + root) / (2.0 * a)
 
 
+def sup_abs(x) -> float:
+    """max |x| with no |x| temporary; NaN if x holds one."""
+    return abs(float(np.maximum(np.max(x), -np.min(x))))  # abs: a -0.0 maximum reads +0.0
+
+
+def eigen_range(blocks, ref: HermitianField):
+    """(min, max) of the eigenvalues of the metric blocks (bb, Re bf, Im bf,
+    ff) relative to ref, by row blocks."""
+    lo, hi = np.inf, -np.inf
+    for rows in row_blocks(blocks[0].shape):
+        rel = relative_eigen_bounds(HermitianField.from_parts(*(b[rows] for b in blocks)),
+                                    HermitianField(ref.bb[rows], ref.bf, ref.ff))
+        lo, hi = np.minimum(lo, rel[0].min()), np.maximum(hi, rel[1].max())
+        del rel  # before the next block's bounds
+    return float(lo), float(hi)
+
+
 @dataclass
 class SpectralGrid:
     """Fourier discretization data for the product torus.
@@ -248,6 +265,18 @@ class SpectralGrid:
         instead of copying it, as irfftn always does."""
         spec = sfft.ifftn(spec, axes=(0, 1, 2), overwrite_x=overwrite, workers=self._workers)
         return sfft.irfft(spec, n=self.shape[-1], axis=-1, workers=self._workers)
+
+    def ifft_x(self, spec: np.ndarray) -> np.ndarray:
+        """spec's inverse transform along x, in place.  Base slab ib of the
+        result is the (ky, ku, kv) half spectrum of slab ib of the field."""
+        return sfft.ifft(spec, axis=0, overwrite_x=True, workers=self._workers)
+
+    def slab_irfft(self, spec: np.ndarray) -> np.ndarray:
+        """The real slabs whose (ky, ku, kv) half spectra fill spec's last
+        three axes; clobbers spec.  On the slabs of ifft_x(s), bit-identical
+        to the same slabs of irfft(s)."""
+        spec = sfft.ifftn(spec, axes=(-3, -2), overwrite_x=True, workers=self._workers)
+        return sfft.irfft(spec, n=self.n_fiber, axis=-1, workers=self._workers)
 
     def hessian(self, phi: np.ndarray) -> HermitianField:
         """Mixed complex Hessian of a real field, as a HermitianField.

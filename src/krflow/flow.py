@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import HermitianField, SpectralGrid, relative_eigen_bounds, row_blocks
+from .discretization import HermitianField, SpectralGrid, eigen_range, row_blocks, sup_abs
 from .errors import ConfigInvalid, NonFiniteValue, NonPositiveDensity, PositivityLost
 from .geometry import SurrogateGeometry
 # Read by perfbench as flow.product_reduced_run until ROADMAP item 1 imports it from oracle.
@@ -222,22 +222,6 @@ class _Imex2Stepper:
         return self.problem.grid.irfft(self.u)
 
 
-def _sup_abs(x) -> float:
-    """max |x| with no |x| temporary; NaN if x holds one."""
-    return abs(float(np.maximum(np.max(x), -np.min(x))))  # abs: a -0.0 maximum reads +0.0
-
-
-def _eigen_range(blocks, ref: HermitianField):
-    """(min, max) of the eigenvalues of the metric blocks relative to ref, by row blocks."""
-    lo, hi = np.inf, -np.inf
-    for rows in row_blocks(blocks[0].shape):
-        rel = relative_eigen_bounds(HermitianField.from_parts(*(b[rows] for b in blocks)),
-                                    HermitianField(ref.bb[rows], ref.bf, ref.ff))
-        lo, hi = np.minimum(lo, rel[0].min()), np.maximum(hi, rel[1].max())
-        del rel  # before the next block's bounds
-    return float(lo), float(hi)
-
-
 @dataclass
 class FlowState:
     """Cheap per-sample summary of the evolving solution."""
@@ -383,16 +367,16 @@ class FlowProblem:
             if round(tt, 12) in sample_set:
                 rhs, blocks = kept
                 rhs -= cur_phi  # in the buffer of F'
-                sup_phidot = _sup_abs(rhs)
+                sup_phidot = sup_abs(rhs)
                 if not math.isfinite(sup_phidot):
                     raise NonFiniteValue(f"right-hand side lost finiteness at t={tt:.6f}")
-                eig_min, eig_max = _eigen_range(blocks, self.geometry.tilde(tt))
+                eig_min, eig_max = eigen_range(blocks, self.geometry.tilde(tt))
                 if eig_min < opts.positivity_floor:
                     raise PositivityLost(
                         f"relative eigenvalue {eig_min:.3e} below floor at t={tt:.6f}"
                     )
                 states.append(
-                    FlowState(tt, _sup_abs(cur_phi), sup_phidot, eig_min, eig_max, steps)
+                    FlowState(tt, sup_abs(cur_phi), sup_phidot, eig_min, eig_max, steps)
                 )
                 if sampler is not None:
                     records.append(sampler(tt, cur_phi, rhs, HermitianField.from_parts(*blocks)))

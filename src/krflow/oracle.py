@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .discretization import HermitianField, SpectralGrid, _odd_wavenumbers
+from .discretization import HermitianField, SpectralGrid, _odd_wavenumbers, row_blocks
 from .errors import PositivityLost
 
 
@@ -42,31 +42,28 @@ def fiber_hessian_oracle(grid: SpectralGrid, f2: np.ndarray) -> np.ndarray:
     return (abs(c) ** 2) * d2u + 2.0 * np.real(c * np.conj(d)) * duv + (abs(d) ** 2) * d2v
 
 
-def _base_hessian_oracle(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    """Second-order bb-block Hessian along the first two axes (x, y) of f."""
-    hb = 1.0 / grid.n_base
-    return 0.25 * (_roll_d2(f, 0, hb) + _roll_d2(f, 1, hb))
+def _dense_rows_oracle(grid: SpectralGrid, f: np.ndarray, block: str, rows: np.ndarray):
+    """Second-order bb, ff or bf block of a 4D field on the y-rows `rows` (an
+    index array) of one x-plane, from f = its x-planes k + 1, k and k - 1 (in
+    that order, on axis 0).
 
-
-def _bf_plane_oracle(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    """Second-order bf block of a 4D field on one u-plane, from f = its u-planes
-    k + 1, k and k - 1 (in that order, on axis 2).
-
-    The whole-grid roll stencil restricted to the plane: its rolls touch
-    every axis, but u only by one cell (in dxu and dyu), so the plane needs
-    just its two u-neighbours.
+    The whole-grid roll stencils restricted to those rows: only their x- and
+    y-rolls leave them, by one plane or row either way.
     """
     hb = 1.0 / grid.n_base
+    nxt, prv = (rows + 1) % grid.n_base, (rows - 1) % grid.n_base
+    mid = f[1, rows]
+    if block == "ff":
+        return fiber_hessian_oracle(grid, mid)
+    if block == "bb":
+        return 0.25 * ((f[0, rows] - 2.0 * mid + f[2, rows]) / (hb * hb)
+                       + (f[1, nxt] - 2.0 * mid + f[1, prv]) / (hb * hb))
     hf = 1.0 / grid.n_fiber
-    c, d = grid._fiber_coeffs
-    dx = _roll_d1(f, 0, hb)
-    dy = _roll_d1(f, 1, hb)
-    dxu = (dx[:, :, 0] - dx[:, :, 2]) / (2.0 * hf)
-    dyu = (dy[:, :, 0] - dy[:, :, 2]) / (2.0 * hf)
-    dxv = _roll_d1(dx[:, :, 1], 2, hf)
-    dyv = _roll_d1(dy[:, :, 1], 2, hf)
-    cc, dc = np.conj(c), np.conj(d)
-    return 0.5 * (cc * dxu + dc * dxv) - 0.5j * (cc * dyu + dc * dyv)
+    cc, dc = np.conj(grid._fiber_coeffs)
+    dx = (f[0, rows] - f[2, rows]) / (2.0 * hb)
+    dy = (f[1, nxt] - f[1, prv]) / (2.0 * hb)
+    return (0.5 * (cc * _roll_d1(dx, 1, hf) + dc * _roll_d1(dx, 2, hf))
+            - 0.5j * (cc * _roll_d1(dy, 1, hf) + dc * _roll_d1(dy, 2, hf)))
 
 
 def hessian_refinement_error(n: int, tau: complex = 1j, seed: int | None = None) -> float:
@@ -74,39 +71,60 @@ def hessian_refinement_error(n: int, tau: complex = 1j, seed: int | None = None)
 
     The dense side is the second-order centered-difference mixed Hessian,
     independent of both production discretizations and convergent at order
-    2 to the same operator.  Blocks are taken one at a time: the spectral
-    block is one irfft of symbol x spectrum, and the matching roll block is
-    built slab by slab along an axis its rolls do not touch (bb over u, ff
-    over x) or, for bf, whose rolls touch every axis, on u-planes with their
-    two neighbours, each evaluated from its coordinates, in a window that
-    slides one plane a step (n + 2 plane evaluations, not 3n).  Besides the
-    one spectrum, at most two whole fields (bf's Re and Im) and one product
-    are alive at once; the maximum is the whole-grid one, bit for bit.
+    2 to the same operator.  Blocks are taken one at a time, on x-planes: a
+    block's symbol multiplies the test field's spectrum in place, which goes
+    back along x once and then plane by plane (ifft_x, slab_irfft); the
+    dense block is evaluated on the plane's row blocks from its two
+    x-neighbours.  bb and ff read those from the test field, kept whole.  bf
+    keeps its Re field whole for its Im pass instead, so that pass forms its
+    spectrum plane by plane (rfftn's r2c along v on each, then its c2c over
+    x, y, u in place) and evaluates the planes in a window that slides one
+    plane a step.  At most one spectrum and one real field are whole-grid
+    arrays, and the maximum is the whole-grid one, bit for bit.
     """
     grid = SpectralGrid(n, n, tau)
-    s_bb, s_ff, s_re, s_im = grid._half_hessian_syms  # formed before the spectrum
-    spec = grid.rfft(_test_field(grid, seed))
+    sh = grid.sym_half
+    s_bb = np.real(sh[("holo", "b")] * sh[("anti", "b")])
+    s_ff = np.real(sh[("holo", "f")] * sh[("anti", "f")])
 
-    err = 0.0
-    for sym, stencil, axis in ((s_bb, _base_hessian_oracle, 2), (s_ff, fiber_hessian_oracle, 0)):
-        block = grid.irfft(sym * spec, overwrite=True)
+    def s_bf(rows):
+        return sh[("holo", "b")][rows] * sh[("anti", "f")]
+
+    def test_plane(k):
+        return _test_field(grid, seed, 0, [k])[0]
+
+    def product(part, spec):
+        """part(rows) times spec, in its place, back along x."""
+        for rows in row_blocks(spec.shape):
+            spec[rows] *= part(rows)
+        return grid.ifft_x(spec)
+
+    def gap(block, spec, plane_of, re=None):
+        """max |spectral - dense| of block: spec is its (Im) product, re its
+        Re field, plane_of(k) the test field's x-plane k."""
+        worst = 0.0
+        window = np.stack([plane_of(1), plane_of(0), plane_of(n - 1)])  # planes k + 1, k, k - 1
         for k in range(n):
-            slab = (slice(None),) * axis + (k,)
-            phi = _test_field(grid, seed, axis, [k]).squeeze(axis)
-            err = max(err, float(np.max(np.abs(block[slab] - stencil(grid, phi)))))
-        del block
+            plane = grid.slab_irfft(spec[k])
+            for ys in row_blocks(plane.shape):
+                spectral = plane[ys] if re is None else re[k, ys] + 1j * plane[ys]
+                dense = _dense_rows_oracle(grid, window, block, np.arange(n)[ys])
+                worst = max(worst, float(np.max(np.abs(spectral - dense))))
+            window[1:] = window[:2]  # slide the window one plane on
+            window[0] = plane_of((k + 2) % n)
+        return worst
 
-    re = grid.irfft(s_re * spec, overwrite=True)
-    spec *= s_im
-    im = grid.irfft(spec, overwrite=True)
-    del spec
-    planes = _test_field(grid, seed, 2, [1, 0, n - 1])
+    field = _test_field(grid, seed)
+    err = max(gap("bb", product(lambda rows: s_bb[rows], grid.rfft(field)), field.__getitem__),
+              gap("ff", product(lambda rows: s_ff, grid.rfft(field)), field.__getitem__))
+    spec = product(lambda rows: s_bf(rows).real, grid.rfft(field))
+    del field
+    re = np.empty(grid.shape)
     for k in range(n):
-        gap = re[:, :, k] + 1j * im[:, :, k] - _bf_plane_oracle(grid, planes)
-        err = max(err, float(np.max(np.abs(gap))))
-        planes[:, :, 1:] = planes[:, :, :2]  # slide the window one plane on
-        planes[:, :, :1] = _test_field(grid, seed, 2, [(k + 2) % n])
-    return err
+        re[k] = grid.slab_irfft(spec[k])
+        spec[k] = sfft.rfft(test_plane(k))  # the Im pass's spectrum, in the place of Re's
+    spec = sfft.fftn(spec, axes=(0, 1, 2), overwrite_x=True, workers=grid._workers)
+    return max(err, gap("bf", product(lambda rows: s_bf(rows).imag, spec), test_plane, re))
 
 
 def fd_hessian(grid: SpectralGrid, phi: np.ndarray) -> HermitianField:
@@ -245,25 +263,33 @@ class OracleReport:
 
 def _test_field(grid: SpectralGrid, seed: int | None = None, axis: int = 0,
                 planes=None) -> np.ndarray:
-    """The oracles' smooth test field, or only its planes (a list) along axis."""
+    """The oracles' smooth test field, or only its planes (a list) along axis.
+
+    Filled by row blocks, so no whole-field temporary is formed.
+    """
     coords = list(grid.coords)
     if planes is not None:
         coords[axis] = coords[axis].take(planes, axis)
-    x, y, u, v = coords
     tp = 2.0 * np.pi
-    out = (
-        0.3 * np.cos(tp * x) * np.cos(tp * y)
-        + 0.2 * np.sin(tp * u) * np.cos(tp * v)
-        + 0.15 * np.cos(tp * (x + u))
-        + 0.1 * np.sin(tp * (y + 2 * v))
-    )
+    modes = []
     if seed is not None:
         rng = np.random.default_rng(seed)
         for _ in range(4):
-            kx, ky, ku, kv = rng.integers(-2, 3, size=4)
-            amp, phase = 0.05 * rng.random(), tp * rng.random()
-            out = out + amp * np.cos(tp * (kx * x + ky * y + ku * u + kv * v) + phase)
-    return np.ascontiguousarray(out)  # its terms together span all four axes
+            k = rng.integers(-2, 3, size=4)
+            modes.append((k, 0.05 * rng.random(), tp * rng.random()))
+    out = np.empty(np.broadcast_shapes(*(c.shape for c in coords)))
+    for rows in row_blocks(out.shape):
+        x, y, u, v = coords[0][rows], *coords[1:]  # only x spans axis 0
+        block = (
+            0.3 * np.cos(tp * x) * np.cos(tp * y)
+            + 0.2 * np.sin(tp * u) * np.cos(tp * v)
+            + 0.15 * np.cos(tp * (x + u))
+            + 0.1 * np.sin(tp * (y + 2 * v))
+        )
+        for (kx, ky, ku, kv), amp, phase in modes:
+            block = block + amp * np.cos(tp * (kx * x + ky * y + ku * u + kv * v) + phase)
+        out[rows] = block
+    return out
 
 
 # Relative FD-vs-spectral tolerance by grid size.  The fourth-order stencil
@@ -423,8 +449,8 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     if any is red.  Keep this cheap — it runs as a preflight.  With n_base
     and n_fiber at most 32 its memory is set by check 1's fine grid, 2 *
     min(n_base, 32) points a side, on which hessian_refinement_error peaks
-    at 4.2-4.8 whole fields traced (one spectrum, the grid's Hessian
-    symbols, a block and one product).  On larger grids check 2 sets it:
+    at 2.35 whole fields traced (one spectrum and the test field or bf's Re
+    field, x-planes and their row blocks).  On larger grids check 2 sets it:
     on the uncapped n_base^2 x n_fiber^2 grid it holds the test field and
     its spectral Hessian (five fields, which check 3 reads too) and forms
     the FD Hessian one block at a time, about 15 whole fields at most:
@@ -435,8 +461,9 @@ def run_battery(n_base: int = 16, n_fiber: int = 16, tau: complex = 1j,
     # 1. Spectral Hessian vs dense oracle under refinement: order ~ 2.
     # The pair is capped at 32/64; up to 32^4 its fine grid sets the peak.
     # Measured with Python 3.11, numpy 2.4, scipy 1.17 on a 2-core x86-64
-    # box: run_battery(32, 32) peaks at 602 MB ru_maxrss in a fresh process
-    # (134 MB a real 64^4 field), run_battery(16, 16) at 36 MB traced.
+    # box: run_battery(32, 32) peaks at 345 MB ru_maxrss in a fresh process
+    # (134 MB a real 64^4 field), run_battery(16, 16) at 20 MB traced and
+    # 86 MB ru_maxrss (65 MB after the imports).
     n_lo = min(n_base, 32)
     errs = [hessian_refinement_error(n, tau, seed) for n in (n_lo, 2 * n_lo)]
     order = refinement_order(errs[0], errs[1])

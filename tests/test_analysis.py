@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,26 @@ def make_problem(n=16, tau=1j, **kw):
 
 def rel_gap(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+def engine_fields(eng, t, phi, g):
+    """The (s, rm2, grad2) fields of eng's slab norms, reassembled on the grid;
+    their maxima are the ones curvature_maxima returns."""
+    out = np.full((3,) + eng.grid.shape, np.nan)
+
+    def slab_norms(rows, at, *args):
+        norms = MonitorEngine._slab_norms(eng, rows, at, *args)
+        for field, norm in zip(out, norms):
+            field[at] = norm
+        return norms
+
+    eng._slab_norms = slab_norms
+    try:
+        maxima = eng.curvature_maxima(t, phi, g)
+    finally:
+        del eng._slab_norms
+    assert maxima == tuple(float(np.max(f)) for f in out)
+    return out
 
 
 def blank_record(t, **kw):
@@ -124,23 +143,31 @@ def test_slot_groups_move_into_the_frame_as_the_full_tensor():
         assert np.allclose(analysis._sum_sq(ind, len(groups)), sq, rtol=1e-13, atol=0.0)
 
 
-def test_symbol_walk_forms_each_field_as_its_product():
-    # The depth-first walk over shared prefixes gives every field with rows
-    # of its own once, each symbol bit-identical to math.prod of its
-    # factors, holo's then anti's.
-    grid, _, prob = make_problem(8)
+def test_slab_terms_sum_to_each_rows_symbol():
+    # Summed over p against (i kx)^p, each stack row's slab coefficients
+    # give its 4D symbol: the field's full symbol's Re part, and its Im part,
+    # each the Hermitian combination its parity takes (Re and Im of the
+    # symbol when the order is even, i Im and -i Re when it is odd).
+    grid, _, prob = make_problem(8, tau=0.3 + 1.2j)
     sh = grid.sym_half
-    seen = []
-    for index, parity, a, b in MonitorEngine(prob)._symbols():
-        holo, anti = analysis._FIELDS[index]
+    ikx = 1j * discretization._odd_wavenumbers(8).reshape(-1, 1, 1, 1)
+    want = {}
+    for index, (holo, anti) in enumerate(analysis._FIELDS):
         sym = math.prod([sh[("holo", "bf"[m])] for m in holo]
                         + [sh[("anti", "bf"[q])] for q in anti])
-        assert parity == (len(holo) + len(anti)) % 2
-        want = (sym.imag, -sym.real) if parity else (sym.real, sym.imag)
-        assert a.tobytes() == want[0].tobytes() and b.tobytes() == want[1].tobytes()
-        seen.append(index)
-    assert sorted(seen) == np.flatnonzero(analysis._IM_SIGN >= 0).tolist()
-    assert len(seen) == 20
+        parts = (sym.real, sym.imag) if len(holo + anti) % 2 == 0 else (1j * sym.imag,
+                                                                      -1j * sym.real)
+        want.setdefault(analysis._RE[index], parts[0])
+        want.setdefault(analysis._IM[index], parts[1])
+    seen = []
+    for q, b, members in MonitorEngine(prob)._slab_terms():
+        for m, rows in members:
+            for row, (c_e, c_o) in rows:
+                got = sum(ikx**p * coef * (c_e if (q - p) % 2 == m else c_o)
+                          for p, coef in enumerate(b))
+                assert np.max(np.abs(got - want[row])) <= 1e-14 * np.max(np.abs(want[row]))
+                seen.append(row)
+    assert sorted(seen) == list(range(analysis._ROWS))
 
 
 class TestEngineVsGeneric:
@@ -164,7 +191,7 @@ class TestEngineVsGeneric:
 
     def test_curvature_fields_match_generic_path(self):
         grid, geom, phi, g, eng = self._input()
-        s_f, rm2_f, grad2_f = eng.curvature_fields(0.7, phi, g)
+        s_f, rm2_f, grad2_f = engine_fields(eng, 0.7, phi, g)
         s_g, rm2_g, grad2_g = self._generic(grid, geom, g, eng)
         assert rel_gap(s_f, s_g) < 1e-10
         assert rel_gap(rm2_f, rm2_g) < 1e-10
@@ -174,7 +201,7 @@ class TestEngineVsGeneric:
         # At tau = 0.3 + 1.2i the fiber symbols are not real multiples of
         # kv, so the conjugate-pair fields and the frame's e10 are generic.
         grid, geom, phi, g, eng = self._input(0.3 + 1.2j)
-        fast = eng.curvature_fields(0.7, phi, g)
+        fast = engine_fields(eng, 0.7, phi, g)
         for f, ref in zip(fast, self._generic(grid, geom, g, eng)):
             assert rel_gap(f, ref) < 1e-10
 
@@ -205,7 +232,7 @@ class TestEngineVsGeneric:
         g = prob.metric(phi, t)
         assert np.max(np.abs(g.bf) ** 2 / (g.bb * g.ff)) >= 0.5
         eng = MonitorEngine(prob)
-        fast = eng.curvature_fields(t, phi, g)
+        fast = engine_fields(eng, t, phi, g)
 
         s_g, _ = christoffel_deviation(grid, g, geom.gamma_b)
         generic = (
@@ -353,19 +380,22 @@ class TestMonitorRecords:
             assert np.isfinite(rec.rm2_max) and rec.rm2_max >= 0.0
             assert np.isfinite(rec.grad2_max) and rec.grad2_max >= 0.0
 
-    def test_record_takes_37_inverse_transforms_and_one_forward(self, monkeypatch):
-        # One rfft of phi, and one irfft per row of the real stack.  The
-        # stack's 23 complex fields are the derivatives of w = e^{-t} psi_0
-        # + phi, each conjugate (2, 2) field exactly its partner's
-        # conjugate and each diagonal one real.
-        grid, geom, prob = make_problem(
-            8, tau=0.3 + 1.2j, psi0_preset="mixed", psi0_amplitude=0.03)
-        x, _, u, _ = grid.coords
-        phi = 0.01 * np.cos(2.0 * np.pi * (x + u)) * np.ones(grid.shape)
+    @pytest.mark.parametrize("n_base, n_fiber", [(16, 8), (8, 16)])
+    def test_streamed_slabs_are_the_full_symbol_fields(self, monkeypatch, n_base, n_fiber):
+        # One rfft of phi and one batch of slab transforms per base slab.
+        # The slabs that reach _slab_norms, put back on the grid, are the 23
+        # derivatives of w = e^{-t} psi_0 + phi, each conjugate (2, 2) field
+        # exactly its partner's conjugate and each diagonal one real.
+        grid = SpectralGrid(n_base, n_fiber, 0.3 + 1.2j)
+        geom = SurrogateGeometry(grid, GeometrySpec(psi0_preset="mixed", psi0_amplitude=0.03))
+        prob = FlowProblem(geom)
+        x, _, u, v = grid.coords
+        phi = 0.01 * np.cos(2.0 * np.pi * (x + u)) * np.sin(2.0 * np.pi * v) * np.ones(grid.shape)
         t = 0.5
         rhs, g = prob.rhs(phi, t)
         eng = MonitorEngine(prob)
-        calls, stacks = [], []
+        calls = []
+        stack = np.full((analysis._ROWS,) + grid.shape, np.nan)
 
         def counted(name):
             orig = getattr(SpectralGrid, name)
@@ -375,19 +405,17 @@ class TestMonitorRecords:
                 return orig(self, *args, **kw)
             return wrapper
 
-        def slab_norms(self, rows, *args):
-            stacks.append(rows.base)
-            return orig_slab_norms(self, rows, *args)
+        def slab_norms(self, rows, at, *args):
+            stack[(slice(None),) + at] = rows
+            return orig_slab_norms(self, rows, at, *args)
 
         orig_slab_norms = MonitorEngine._slab_norms
-        for name in ("rfft", "irfft"):
+        for name in ("rfft", "irfft", "slab_irfft"):
             monkeypatch.setattr(SpectralGrid, name, counted(name))
         monkeypatch.setattr(MonitorEngine, "_slab_norms", slab_norms)
         eng.record(t, phi, rhs, g)
-        assert calls.count("rfft") == 1 and calls.count("irfft") == 37
-        stack = stacks[0]
-        assert stack.shape == (37,) + grid.shape
-        assert all(s is stack for s in stacks)
+        assert (calls.count("rfft"), calls.count("irfft")) == (1, 0)
+        assert calls.count("slab_irfft") == n_base
 
         f = stack[analysis._RE] + 1j * (analysis._IM_SIGN[:, None, None, None, None]
                                         * stack[analysis._IM])
@@ -405,24 +433,26 @@ class TestMonitorRecords:
                 + [sym[("anti", "bf"[q])] for q in anti]) * w_hat)
             assert rel_gap(f[index], direct) < 1e-12
 
-    def test_record_working_set(self):
-        # Traced from the call, the inputs already allocated, in whole real
-        # fields: 51.4 at 16^4 (44.4 at 32^4), where the real stack of 37
-        # rows is the one large array.  A complex stack of all 23 fields,
-        # with psi_0's field in the spectrum's input, read 63.6.
-        grid, geom, prob = make_problem(psi0_preset="mixed")
+    def _record_fields(self, traced_fields, n):
+        grid, geom, prob = make_problem(n, psi0_preset="mixed")
         eng = MonitorEngine(prob)
         x, _, u, _ = grid.coords
         phi = 0.01 * np.cos(2.0 * np.pi * (x + u)) * np.ones(grid.shape)
         rhs, g = prob.rhs(phi, 0.5)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            eng.record(0.5, phi, rhs, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / (8 * 16**4) <= 52.0
+        return traced_fields(lambda: eng.record(0.5, phi, rhs, g), grid.shape)[1]
+
+    def test_record_working_set(self, traced_fields):
+        # Traced from the call, the inputs already allocated, in whole real
+        # fields: 22.7 at 16^4, where the five x-transforms of w (5.6), one
+        # base slab's 37 row spectra and rows, and one block's slab norms
+        # are the large arrays.  A stack of the 37 rows on the whole grid
+        # read 51.4; a complex stack of all 23 fields 63.6.
+        assert self._record_fields(traced_fields, 16) <= 23.8
+
+    def test_record_working_set_at_32(self, traced_fields):
+        # 9.3 whole fields at 32^4, where a base slab is 1/32 of the grid
+        # (44.4 with the whole-grid stack of 37 rows).
+        assert self._record_fields(traced_fields, 32) <= 16.0
 
 
 class TestDecayFit:

@@ -239,33 +239,21 @@ class TestRunMechanics:
         assert [s.steps for s in run.states] == [32, 64]
 
 
-def _traced_fields(fn, n=16):
-    """Traced peak of fn() above the memory traced when it starts, in whole real fields."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return (peak - start) / (8 * n**4)
-
-
 class TestWorkingSet:
     # Mixed data.  The state a run keeps is four half spectra.  The limits
     # sit just above the row-block stepper (16^4: 11.9, 6.3 and 1.0 fields;
     # 32^4: 11.4) and below the stepper whose update, forcing and sample
     # formed whole-field temporaries (13.7, 7.4 and 3.1; 13.3).
 
-    def test_run_peak(self):
+    def test_run_peak(self, traced_fields):
         p = problem(16, psi0_preset="mixed")
         opts = FlowOptions(t_end=0.05, dt_max=0.00625, sample_interval=0.025)
-        assert _traced_fields(lambda: p.run(opts)) <= 12.0
+        assert traced_fields(lambda: p.run(opts))[1] <= 12.0
 
-    def test_run_peak_at_32(self):
+    def test_run_peak_at_32(self, traced_fields):
         p = problem(32, psi0_preset="mixed")
         opts = FlowOptions(t_end=0.025, dt_max=0.00625, sample_interval=0.0125)
-        assert _traced_fields(lambda: p.run(opts), n=32) <= 12.0
+        assert traced_fields(lambda: p.run(opts), (32,) * 4)[1] <= 12.0
 
     def _stepped(self, keep=True):
         p = problem(16, psi0_preset="mixed")
@@ -274,13 +262,13 @@ class TestWorkingSet:
         stepper(0.00625, 0.00625, keep)
         return p, stepper
 
-    def test_one_step(self):
+    def test_one_step(self, traced_fields):
         # A step that lands on no sample, as a run takes it: the candidate
         # reuses the buffer of the level that left the history.
         _, stepper = self._stepped(keep=False)
-        out = []
-        assert _traced_fields(lambda: out.append(stepper(0.0125, 0.00625))) <= 6.5
-        assert out == [None]
+        out, fields = traced_fields(lambda: stepper(0.0125, 0.00625))
+        assert fields <= 6.5
+        assert out is None
 
     def test_one_sample(self):
         # The blocks and F' are traced, as in a run, so a sample that lets
@@ -293,8 +281,8 @@ class TestWorkingSet:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             rhs -= phi
-            flow._sup_abs(rhs)
-            flow._eigen_range(blocks, p.geometry.tilde(0.01875))
+            discretization.sup_abs(rhs)
+            discretization.eigen_range(blocks, p.geometry.tilde(0.01875))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,10 +386,10 @@ class TestRowBlocks:
         rhs -= phi
         ref = p.geometry.tilde(0.01)
         lo, hi = relative_eigen_bounds(HermitianField.from_parts(*blocks), ref)
-        assert flow._eigen_range(blocks, ref) == (float(np.min(lo)), float(np.max(hi)))
+        assert discretization.eigen_range(blocks, ref) == (float(np.min(lo)), float(np.max(hi)))
         for x in (phi, rhs, -np.abs(rhs), np.zeros(3), np.array([-0.0, -0.0])):
-            assert repr(flow._sup_abs(x)) == repr(float(np.max(np.abs(x))))
-        assert math.isnan(flow._sup_abs(np.array([1.0, np.nan, -2.0])))
+            assert repr(discretization.sup_abs(x)) == repr(float(np.max(np.abs(x))))
+        assert math.isnan(discretization.sup_abs(np.array([1.0, np.nan, -2.0])))
 
     def test_a_broadcast_density_gives_the_full_shape_results(self, block_points):
         grid = SpectralGrid(8, 8)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,7 +153,7 @@ def test_geometry_keeps_only_what_a_run_reads():
         assert not hasattr(geom, name), name
 
 
-def test_geometry_build_peak():
+def test_geometry_build_peak(traced_fields):
     # Traced with the grid's symbols cached by a first build: omega_0's bb
     # and bf blocks and psi_0 are dropped before the flat-fiber solve, which
     # reads only the ff block.  Holding them, the build peaked at 13.2
@@ -162,13 +161,7 @@ def test_geometry_build_peak():
     grid = SpectralGrid(16, 16)
     spec = GeometrySpec(psi0_preset="mixed")
     SurrogateGeometry(grid, spec)
-    tracemalloc.start()
-    try:
-        SurrogateGeometry(grid, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert _fields(peak, grid) <= 10.5
+    assert traced_fields(lambda: SurrogateGeometry(grid, spec), grid.shape)[1] <= 10.5
 
 
 def test_monitor_engine_keeps_no_whole_grid_array_beyond_the_geometrys():
