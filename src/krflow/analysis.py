@@ -28,12 +28,12 @@ Monitored quantities per sample:
 
 The fast per-sample path (MonitorEngine) expresses every derivative of g
 through the spectrum of  w = e^{-t} psi_0 + phi  (whose Hessian carries all
-non-product content of g), formed as the stepper forms it, rfft(phi) +
-e^{-t} psi0_spec, plus closed-form derivatives of the base form: 23
-distinct fields in 37 real rows (see _stack_rows).  The rows are streamed
-over base slabs: (i kx)^p w, p = 0..4, goes back along x once, and each
-slab's rows are summed from those five and transformed back in one batch
-(see _slab_terms), so no row exists on the whole grid.  The pointwise
+non-product content of g), one rfft(phi) of its own plus e^{-t} psi0_spec,
+and closed-form derivatives of the base form: 23 distinct fields in 37
+real rows (see _stack_rows).  The rows are streamed over base slabs:
+(i kx)^p w, p = 0..4, goes back along x once, and each slab's rows are
+summed from those five and transformed back in one batch (see
+_slab_terms), so no row exists on the whole grid.  The pointwise
 algebra then runs on blocks of at most _BLOCK_POINTS grid points (a base
 slab, or rows of one), so its working set stays near 7 MiB as slabs grow.
 g and the reference are Kahler and the reference's (2, 0) curvature
@@ -64,9 +64,7 @@ from .discretization import (
     HermitianField,
     SpectralGrid,
     _odd_wavenumbers,
-    eigen_range,
     row_blocks,
-    sup_abs,
     trace_with,
 )
 from .errors import ConfigInvalid, InsufficientSamples
@@ -214,9 +212,9 @@ class MonitorEngine:
     fancy-indexed out of the slab's rows by _D, _DD, _T and _M2 and
     contracted in the pointwise orthonormal frame of g, and only the
     running maxima are kept.  The only whole-grid arrays it forms are the
-    five x-transformed half spectra (i kx)^p w; the eigenvalue, trace,
-    volume-ratio and distance extrema are taken by row blocks.  The sample
-    fibers' monitors take one batch of 2D transforms.
+    five x-transformed half spectra (i kx)^p w; the trace, volume-ratio and
+    distance extrema are taken by row blocks.  The sample fibers' monitors
+    take one batch of 2D transforms.
     """
 
     def __init__(self, problem, n_sample_fibers: int = 8):
@@ -289,14 +287,15 @@ class MonitorEngine:
 
     # .. per-sample record ................................................
 
-    def curvature_maxima(self, t: float, phi: np.ndarray, g: HermitianField):
-        """(s_max, rm2_max, grad2_max), streamed over base slabs.
+    def curvature_maxima(self, t: float, phi: np.ndarray, blocks):
+        """(s_max, rm2_max, grad2_max) of g with blocks (bb, Re bf, Im bf, ff),
+        streamed over base slabs.
 
-        The spectrum of w is taken as the stepper forms it, rfft(phi) +
-        e^{-t} psi0_spec, and (i kx)^p times it, p = 0..4, back along x.  Per
-        base slab the 37 rows' (ky, ku, kv) half spectra are summed from
-        those (see _slab_terms) and go back in one batch; _slab_norms takes
-        the slab by row blocks, and only the running maxima are kept.
+        The spectrum of w is rfft(phi) + e^{-t} psi0_spec, and (i kx)^p
+        times it, p = 0..4, goes back along x.  Per base slab the 37 rows'
+        (ky, ku, kv) half spectra are summed from those (see _slab_terms)
+        and go back in one batch; _slab_norms takes the slab by row blocks,
+        each with its bf formed, and only the running maxima are kept.
         """
         grid = self.grid
         shape = grid.shape
@@ -314,7 +313,7 @@ class MonitorEngine:
         # The base form a_t * chi enters only the pure-base components.
         base = ((_D[0, 0], a_t * self.dchi), (_DD[0, 0], a_t * self.ddbar_chi),
                 (_T[0, 0], a_t * self.dd_chi))
-        bb, bf, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf, g.ff))
+        bb, re, im, ff = blocks
 
         maxima = np.full(3, -np.inf)
         spec = np.empty((_ROWS, 1) + xw[0].shape[1:], dtype=complex)  # one slab's rows
@@ -332,7 +331,8 @@ class MonitorEngine:
             stack = grid.slab_irfft(spec)
             for ys in row_blocks(shape[1:]):
                 at = (xs, ys)
-                norms = self._slab_norms(stack[:, :, ys], at, base, bb[at], bf[at], ff[at])
+                g = HermitianField.from_parts(bb[at], re[at], im[at], ff[at])
+                norms = self._slab_norms(stack[:, :, ys], at, base, g.bb, g.bf, g.ff)
                 maxima = np.maximum(maxima, [x.max() for x in norms])
             del stack  # before the next slab's
         return tuple(maxima.tolist())
@@ -377,19 +377,20 @@ class MonitorEngine:
         rm -= dd
         return _sum_sq(w, 2), _sum_sq(rm, 2), 2.0 * (_sum_sq(t, 2) + _sum_sq(m2, 3))
 
-    def record(self, t: float, phi: np.ndarray, rhs: np.ndarray,
-               g: HermitianField) -> MonitorRecord:
+    def record(self, state, phi: np.ndarray, blocks) -> MonitorRecord:
+        """The record at a run's sample from its FlowState, whose first five
+        fields it copies, phi and the blocks (bb, Re bf, Im bf, ff) of g."""
         grid = self.grid
         geom = self.geometry
         shape = grid.shape
+        t = state.t
         e_t = math.exp(t)
 
         # The curvature maxima first, then the pointwise extrema by row
         # blocks: no whole-field temporary is alive beside the x-transforms.
-        s_max, rm2_max, grad2_max = self.curvature_maxima(t, phi, g)
+        s_max, rm2_max, grad2_max = self.curvature_maxima(t, phi, blocks)
         tilde = geom.tilde(t)
-        bb, re, im, ff = (np.broadcast_to(b, shape) for b in (g.bb, g.bf.real, g.bf.imag, g.ff))
-        eig_min, eig_max = eigen_range((bb, re, im, ff), tilde)
+        bb, re, im, ff = blocks
         density = np.broadcast_to(geom.density, shape)
         ext = []
         for rows in row_blocks(shape):
@@ -403,7 +404,7 @@ class MonitorEngine:
         # The sample fibers, stacked on a leading axis: each fiber monitor
         # is a per-fiber sup, scaled, then maximized over the fibers.
         fibers = self.fiber_points
-        dev = e_t * np.broadcast_to(g.ff, shape)[fibers] - self.gflat
+        dev = e_t * ff[fibers] - self.gflat
         d1 = grid.fiber_deriv(dev, "holo")
         d2 = (np.abs(grid.fiber_deriv(d1, "holo")) ** 2
               + np.abs(grid.fiber_deriv(d1, "anti")) ** 2)
@@ -415,12 +416,12 @@ class MonitorEngine:
 
         return MonitorRecord(
             t=t,
-            sup_phi=sup_abs(phi),
-            sup_phidot=sup_abs(rhs),
+            sup_phi=state.sup_phi,
+            sup_phidot=state.sup_phidot,
             vol_ratio_min=lo[2],
             vol_ratio_max=hi[3],
-            rel_eig_min=eig_min,
-            rel_eig_max=eig_max,
+            rel_eig_min=state.eig_min,
+            rel_eig_max=state.eig_max,
             trace_min=lo[0],
             trace_max=hi[1],
             s_max=s_max,

@@ -51,10 +51,11 @@ their previous level) and a fifth that the next candidate reuses.  The
 pointwise work of a step and of a sample runs over row blocks, so none of
 it forms a whole-field temporary.  A step adds about 6.3: w, one buffer for
 the products s * w, the four blocks and det, whose buffer takes F'.  Only
-the step that lands on a sample returns F' and the blocks; the run hands
-them to the sample, whose rhs reuses the buffer of F', and lets go of them
-before it steps on.  A sample adds about one field at 16^4.  A run peaks
-at 11.4-11.9 fields (13.3-13.7 with whole-field temporaries).
+the step that lands on a sample returns F' and the blocks; the sample
+forms F' - phi in its buffer and lets go of it before the sampler sees
+the blocks.  A run peaks at 11.4-11.9 fields without a sampler (13.3-13.7
+with whole-field temporaries), and at 32.3 (16^4) and 18.6 (32^4) with
+MonitorEngine.record, which then sets the peak.
 """
 
 from __future__ import annotations
@@ -222,9 +223,17 @@ class _Imex2Stepper:
         return self.problem.grid.irfft(self.u)
 
 
+def _sup_phidot(forcing, phi, t) -> float:
+    """sup |F' - phi|, formed in the buffer of F'; NonFiniteValue unless finite."""
+    forcing -= phi
+    if not math.isfinite(sup := sup_abs(forcing)):
+        raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
+    return sup
+
+
 @dataclass
 class FlowState:
-    """Cheap per-sample summary of the evolving solution."""
+    """Per-sample summary of the evolving solution; a record copies the first five."""
 
     t: float
     sup_phi: float
@@ -266,11 +275,19 @@ class FlowProblem:
 
         The same formula the imex2 stepper steps with (see _forcing).
         """
-        rhs, (bb, re, im, ff), _ = self._forcing(self.grid.rfft(phi), t)
-        rhs -= phi
-        if not np.all(np.isfinite(rhs)):
-            raise NonFiniteValue(f"right-hand side lost finiteness at t={t:.6f}")
-        return rhs, HermitianField.from_parts(bb, re, im, ff)
+        rhs, blocks, _ = self._forcing(self.grid.rfft(phi), t)
+        _sup_phidot(rhs, phi, t)
+        return rhs, HermitianField.from_parts(*blocks)
+
+    def sample_state(self, t, phi, forcing, blocks, steps, floor) -> FlowState:
+        """The FlowState at (t, phi) from the landing step's F' and blocks (bb,
+        Re bf, Im bf, ff) of g; PositivityLost if an eigenvalue of g relative
+        to tilde(t) is below floor.  F' - phi is formed in the buffer of F'."""
+        sup_phidot = _sup_phidot(forcing, phi, t)
+        eig_min, eig_max = eigen_range(blocks, self.geometry.tilde(t))
+        if eig_min < floor:
+            raise PositivityLost(f"relative eigenvalue {eig_min:.3e} below floor at t={t:.6f}")
+        return FlowState(t, sup_abs(phi), sup_phidot, eig_min, eig_max, steps)
 
     def _forcing(self, u, t):
         """F', the blocks (bb, Re bf, Im bf, ff) of g and the proxy midranges.
@@ -336,70 +353,44 @@ class FlowProblem:
 
     # -- stepping ----------------------------------------------------------
 
-    def run(
-        self,
-        opts: FlowOptions,
-        sampler=None,
-        snapshot_times=(),
-    ) -> FlowResult:
+    def run(self, opts: FlowOptions, sampler=None, snapshot_times=()) -> FlowResult:
         """Integrate from phi = 0 at t = 0 to t_end.
 
         Samples land on the multiples of sample_interval up to t_end, plus
         t_end itself (see sample_times), and on any snapshot times; each
         interval between these events is split into equal steps of at most
         dt_max, and the run never passes t_end.  `sampler`, if given, is
-        called as sampler(t, phi, rhs, g) at each sample time and
-        its return value collected into result.records.
+        called as sampler(state, phi, blocks) at each sample time with the
+        FlowState just appended to result.states and the landing step's
+        blocks (bb, Re bf, Im bf, ff), F' let go of; its return values go
+        into result.records.
         """
-        t = 0.0
-        steps = 0
-
+        t, steps = 0.0, 0
         sample_set = set(sample_times(opts.t_end, opts.sample_interval))
         events = set(sample_set)
         events |= {round(float(s), 12) for s in snapshot_times if 0.0 < s <= opts.t_end}
         event_list = sorted(events)
         snapshot_set = {round(float(s), 12) for s in snapshot_times}
+        # The step that lands on a sample keeps F' and the blocks, or the one
+        # that lands on the event before it if it lies within the event slack.
+        keeps = {a if a >= b - 1e-12 else b
+                 for a, b in zip([0.0] + event_list, event_list) if b in sample_set}
 
         states, records, snapshots = [], [], {}
-
-        def take_sample(tt, kept):
-            cur_phi = stepper.phi()
-            if round(tt, 12) in sample_set:
-                rhs, blocks = kept
-                rhs -= cur_phi  # in the buffer of F'
-                sup_phidot = sup_abs(rhs)
-                if not math.isfinite(sup_phidot):
-                    raise NonFiniteValue(f"right-hand side lost finiteness at t={tt:.6f}")
-                eig_min, eig_max = eigen_range(blocks, self.geometry.tilde(tt))
-                if eig_min < opts.positivity_floor:
-                    raise PositivityLost(
-                        f"relative eigenvalue {eig_min:.3e} below floor at t={tt:.6f}"
-                    )
-                states.append(
-                    FlowState(tt, sup_abs(cur_phi), sup_phidot, eig_min, eig_max, steps)
-                )
-                if sampler is not None:
-                    records.append(sampler(tt, cur_phi, rhs, HermitianField.from_parts(*blocks)))
-            if round(tt, 12) in snapshot_set:
-                snapshots[tt] = cur_phi
-            return cur_phi
-
         if 0.0 in snapshot_set:
             snapshots[0.0] = np.zeros(self.grid.shape)
 
         stepper = _Imex2Stepper(self)
-
+        kept = None  # the landing step's (F', blocks), until its sample takes them
         for target in event_list:
-            # the last event's phi and sample data, not held while stepping
-            phi = kept = None
             while t < target - 1e-12:
+                phi = None  # the last event's phi is not held while stepping
                 # equal steps of at most dt_max over the rest of the
                 # interval, so an event never forces a short step
                 n = max(1, math.ceil((target - t) / opts.dt_max - 1e-9))
                 dt = (target - t) / n
                 for halving in range(opts.max_halvings + 1):
-                    # only a step that lands on a sample keeps F' and the blocks
-                    keep = target in sample_set and abs(t + dt - target) < 1e-10
+                    keep = target in keeps and abs(t + dt - target) < 1e-10
                     try:
                         kept = stepper(t, dt, keep)
                         break
@@ -411,13 +402,18 @@ class FlowProblem:
                 steps += 1
                 if abs(t - target) < 1e-10:
                     t = target
-            phi = take_sample(target, kept)
+            phi = stepper.phi()
+            if target in sample_set:
+                forcing, blocks = kept
+                state = self.sample_state(target, phi, forcing, blocks, steps,
+                                          opts.positivity_floor)
+                forcing = kept = None  # its one reader, sup |phi_dot|, is in the state
+                states.append(state)
+                if sampler is not None:
+                    records.append(sampler(state, phi, blocks))
+                blocks = None  # not held while stepping
+            if target in snapshot_set:
+                snapshots[target] = phi
 
-        return FlowResult(
-            states=states,
-            records=records,
-            snapshots=snapshots,
-            final_phi=phi,
-            final_t=t,
-            total_steps=steps,
-        )
+        return FlowResult(states=states, records=records, snapshots=snapshots,
+                          final_phi=phi, final_t=t, total_steps=steps)

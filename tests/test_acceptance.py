@@ -179,9 +179,9 @@ def _generic_records_at_doubled_dt():
     )
     wanted = {round(t, 9) for t in WINDOW_TIMES}
 
-    def sampler(t, phi, rhs, g):
-        if round(t, 9) in wanted:
-            return engine.record(t, phi, rhs, g)
+    def sampler(state, phi, blocks):
+        if round(state.t, 9) in wanted:
+            return engine.record(state, phi, blocks)
         return None
 
     result = problem.run(opts, sampler=sampler)

@@ -46,11 +46,17 @@ def engine_fields(eng, t, phi, g):
 
     eng._slab_norms = slab_norms
     try:
-        maxima = eng.curvature_maxima(t, phi, g)
+        maxima = eng.curvature_maxima(t, phi, (g.bb, g.bf.real, g.bf.imag, g.ff))
     finally:
         del eng._slab_norms
     assert maxima == tuple(float(np.max(f)) for f in out)
     return out
+
+
+def sampled(prob, t, phi):
+    """The FlowState and metric blocks a run hands its sampler at (t, phi)."""
+    forcing, blocks, _ = prob._forcing(prob.grid.rfft(phi), t)
+    return prob.sample_state(t, phi, forcing, blocks, 0, 0.0), blocks
 
 
 def blank_record(t, **kw):
@@ -331,8 +337,8 @@ class TestMonitorRecords:
         grid, geom, prob = make_problem()
         eng = MonitorEngine(prob)
         phi = np.zeros(grid.shape)
-        rhs, g = prob.rhs(phi, 0.8)
-        rec = eng.record(0.8, phi, rhs, g)
+        state, blocks = sampled(prob, 0.8, phi)
+        rec = eng.record(state, phi, blocks)
         assert rec.sup_phi == 0.0
         assert rec.sup_phidot < 1e-12
         assert abs(rec.trace_min - 2.0) < 1e-12
@@ -358,8 +364,8 @@ class TestMonitorRecords:
             fiber_scale=b0, psi0_preset="fiber_cos", psi0_amplitude=amp)
         eng = MonitorEngine(prob)
         phi = np.zeros(grid.shape)
-        rhs, g = prob.rhs(phi, 0.0)
-        rec = eng.record(0.0, phi, rhs, g)
+        state, blocks = sampled(prob, 0.0, phi)
+        rec = eng.record(state, phi, blocks)
         for value, expect in (
             (rec.fiber_dev0, (math.pi**2 * amp) ** 2 / b0**2),
             (rec.fiber_dev1, 2.0 * math.pi**6 * amp**2 / b0**3),
@@ -380,6 +386,28 @@ class TestMonitorRecords:
             assert np.isfinite(rec.rm2_max) and rec.rm2_max >= 0.0
             assert np.isfinite(rec.grad2_max) and rec.grad2_max >= 0.0
 
+    def test_shared_columns_are_the_runs_own(self, monkeypatch):
+        # A record copies t, sup |phi|, sup |phi_dot| and the relative
+        # eigenvalue range from the run's FlowState, so a sample takes one
+        # eigenvalue pass, not one for the state and one for the record.
+        grid, geom, prob = make_problem(8, psi0_preset="mixed", psi0_amplitude=0.03,
+                                        base_scale=1.2)
+        calls = []
+        eigen_range = discretization.eigen_range
+
+        def counted(*args):
+            calls.append(args)
+            return eigen_range(*args)
+
+        for module in (discretization, flow, analysis):
+            monkeypatch.setattr(module, "eigen_range", counted, raising=False)
+        opts = FlowOptions(t_end=0.3, dt_max=0.02, sample_interval=0.1)
+        result = prob.run(opts, sampler=MonitorEngine(prob).record)
+        assert len(calls) == len(result.states) == len(result.records) == 3
+        for rec, state in zip(result.records, result.states):
+            assert (rec.t, rec.sup_phi, rec.sup_phidot, rec.rel_eig_min, rec.rel_eig_max) == (
+                state.t, state.sup_phi, state.sup_phidot, state.eig_min, state.eig_max)
+
     @pytest.mark.parametrize("n_base, n_fiber", [(16, 8), (8, 16)])
     def test_streamed_slabs_are_the_full_symbol_fields(self, monkeypatch, n_base, n_fiber):
         # One rfft of phi and one batch of slab transforms per base slab.
@@ -392,7 +420,7 @@ class TestMonitorRecords:
         x, _, u, v = grid.coords
         phi = 0.01 * np.cos(2.0 * np.pi * (x + u)) * np.sin(2.0 * np.pi * v) * np.ones(grid.shape)
         t = 0.5
-        rhs, g = prob.rhs(phi, t)
+        state, blocks = sampled(prob, t, phi)
         eng = MonitorEngine(prob)
         calls = []
         stack = np.full((analysis._ROWS,) + grid.shape, np.nan)
@@ -413,7 +441,7 @@ class TestMonitorRecords:
         for name in ("rfft", "irfft", "slab_irfft"):
             monkeypatch.setattr(SpectralGrid, name, counted(name))
         monkeypatch.setattr(MonitorEngine, "_slab_norms", slab_norms)
-        eng.record(t, phi, rhs, g)
+        eng.record(state, phi, blocks)
         assert (calls.count("rfft"), calls.count("irfft")) == (1, 0)
         assert calls.count("slab_irfft") == n_base
 
@@ -438,8 +466,8 @@ class TestMonitorRecords:
         eng = MonitorEngine(prob)
         x, _, u, _ = grid.coords
         phi = 0.01 * np.cos(2.0 * np.pi * (x + u)) * np.ones(grid.shape)
-        rhs, g = prob.rhs(phi, 0.5)
-        return traced_fields(lambda: eng.record(0.5, phi, rhs, g), grid.shape)[1]
+        state, blocks = sampled(prob, 0.5, phi)
+        return traced_fields(lambda: eng.record(state, phi, blocks), grid.shape)[1]
 
     def test_record_working_set(self, traced_fields):
         # Traced from the call, the inputs already allocated, in whole real

@@ -261,6 +261,18 @@ class TestSimulate:
         assert len(rows) == 8  # header + five battery checks + stationarity + fold
         assert all(",True," in row for row in rows[1:])
 
+    def test_sample_within_the_event_slack_of_a_snapshot(self, tmp_path):
+        # The one sample, at round(t_end, 12), lies 1e-12 past the snapshot
+        # at 0.1: it takes no step and is recorded from the snapshot's step.
+        out = tmp_path / "slack"
+        ini = _write(tmp_path, "slack.ini", SMALL.format(
+            t_end=0.100000000001, dt_sample=0.3, out=out, snap=0.1))
+        rc = cli.main(["--config", ini, "--quiet", "simulate"])
+        assert rc == 0
+        assert [r.t for r in read_monitor_csv(out / "monitors.csv")] == [0.100000000001]
+        assert [p.name for p in out.glob("*.krfl")] == ["snapshot_0000100.krfl"]
+        assert read_summary(out / "decay_summary.txt")["total_steps"] == 8
+
     def test_out_flag_overrides_directory(self, tmp_path):
         ini = _write(tmp_path, "run.ini", SMALL.format(
             t_end=0.2, dt_sample=0.2, out=tmp_path / "ignored", snap=0))
@@ -480,9 +492,10 @@ def test_single_valued_and_dead_options_are_gone():
     for fn, names in gone.items():
         params = inspect.signature(fn).parameters
         assert not set(names) & set(params), (fn.__qualname__, list(params))
-    # the sampler's first argument, the problem, was never read
+    # a record reads t and its sup and eigenvalue columns from the run's
+    # FlowState, and g as the landing step's blocks: no rhs or complex bf
     assert list(inspect.signature(analysis.MonitorEngine.record).parameters) == [
-        "self", "t", "phi", "rhs", "g"]
+        "self", "state", "phi", "blocks"]
     assert not hasattr(octagon, "run_octagon_simulation")
     assert callable(cli.run_octagon_simulation)
     fit_fields = {f.name for f in dataclasses.fields(analysis.DecayFit)}

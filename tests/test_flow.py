@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from krflow import discretization, flow
+from krflow.analysis import MonitorEngine
 from krflow.discretization import HermitianField, SpectralGrid, relative_eigen_bounds
 from krflow.errors import NonFiniteValue, PositivityLost
 from krflow.flow import (
@@ -75,6 +77,19 @@ class TestRightHandSide:
         bad = 0.2 * np.cos(TP * x) * np.ones(p.grid.shape)  # bb dips below zero
         with pytest.raises(PositivityLost):
             p.rhs(bad, 0.0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rhs_and_sample_share_the_finiteness_rule(self, monkeypatch, value):
+        # A non-finite entry of F' - phi is NonFiniteValue in both.
+        p = problem()
+        phi = np.zeros(p.grid.shape)
+        forcing, blocks, mu = p._forcing(p.grid.rfft(phi), 0.0)
+        forcing[1, 2, 3, 4] = value
+        with pytest.raises(NonFiniteValue):
+            p.sample_state(0.0, phi, forcing.copy(), blocks, 0, 0.0)
+        monkeypatch.setattr(p, "_forcing", lambda u, t: (forcing, blocks, mu))
+        with pytest.raises(NonFiniteValue):
+            p.rhs(phi, 0.0)
 
     def test_nan_state_raises_non_finite_on_one_step(self):
         p = problem()
@@ -230,6 +245,24 @@ class TestRunMechanics:
         res = problem().run(FlowOptions(t_end=t_end, dt_max=0.01, sample_interval=0.05))
         assert [s.t for s in res.states] == [0.05, 0.1]
 
+    def test_sample_within_the_event_slack_of_a_snapshot_takes_its_step(self):
+        # The one sample, round(t_end, 12) = 0.100000000001, lies within the
+        # event slack of the snapshot at 0.1, so no step lands on it: the step
+        # that landed on the snapshot keeps F' and the blocks for it.
+        p = problem(psi0_preset="mixed", psi0_amplitude=0.02)
+        res = p.run(FlowOptions(t_end=0.100000000001, dt_max=0.01, sample_interval=0.3),
+                    snapshot_times=(0.1,))
+        ref = p.run(FlowOptions(t_end=0.1, dt_max=0.01, sample_interval=0.3))
+        assert res.total_steps == ref.total_steps == 10
+        assert list(res.snapshots) == [0.1]
+        assert np.array_equal(res.snapshots[0.1], ref.final_phi)
+        (state,), (want,) = res.states, ref.states
+        assert state.t == 0.100000000001
+        assert (state.sup_phi, state.sup_phidot, state.steps) == (
+            want.sup_phi, want.sup_phidot, want.steps)
+        assert (state.eig_min, state.eig_max) == pytest.approx((want.eig_min, want.eig_max),
+                                                               rel=1e-10)
+
     def test_commensurate_intervals_keep_their_step_counts(self):
         # the separable32 workload's 20 steps; generic16's 32 a sample
         p = problem()
@@ -255,6 +288,22 @@ class TestWorkingSet:
         opts = FlowOptions(t_end=0.025, dt_max=0.00625, sample_interval=0.0125)
         assert traced_fields(lambda: p.run(opts), (32,) * 4)[1] <= 12.0
 
+    def _monitored_run_peak(self, traced_fields, n):
+        p = problem(n, psi0_preset="mixed", base_scale=1.2)
+        record = MonitorEngine(p).record
+        opts = FlowOptions(t_end=0.025, dt_max=0.00625, sample_interval=0.0125)
+        return traced_fields(lambda: p.run(opts, sampler=record), (n,) * 4)[1]
+
+    def test_monitored_run_peak(self, traced_fields):
+        # The record sets a monitored run's peak: 32.3 fields with F' let go
+        # of and bf formed per block (35.2 with F' and a whole complex bf
+        # held through the record).
+        assert self._monitored_run_peak(traced_fields, 16) <= 34.0
+
+    def test_monitored_run_peak_at_32(self, traced_fields):
+        # 18.6 fields at 32^4 (21.5 with F' and bf held).
+        assert self._monitored_run_peak(traced_fields, 32) <= 19.5
+
     def _stepped(self, keep=True):
         p = problem(16, psi0_preset="mixed")
         stepper = _Imex2Stepper(p)
@@ -276,13 +325,11 @@ class TestWorkingSet:
         p, stepper = self._stepped()
         tracemalloc.start()
         try:
-            rhs, blocks = stepper(0.0125, 0.00625, keep=True)
+            forcing, blocks = stepper(0.0125, 0.00625, keep=True)
             phi = stepper.phi()
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            rhs -= phi
-            discretization.sup_abs(rhs)
-            discretization.eigen_range(blocks, p.geometry.tilde(0.01875))
+            p.sample_state(0.01875, phi, forcing, blocks, 3, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -578,18 +625,33 @@ class TestSpectralStepper:
             phi = old(phi, t, dt)
         assert np.max(np.abs(res.final_phi - phi)) < 1e-13
 
-    def test_sampler_gets_the_problem_rhs_and_metric(self):
+    def test_sampler_gets_the_problem_rhs_and_metric(self, monkeypatch):
+        # The sampler gets the state just appended, whose sup |phi_dot| is
+        # that of the problem's rhs, and g's blocks (bb, Re bf, Im bf, ff);
+        # the landing step's F' is let go of before the call.
         p = spectral_problem(8)
+        forcings = []
+        call = _Imex2Stepper.__call__
+
+        def recorded(self, t, dt, keep=False):
+            out = call(self, t, dt, keep)
+            if out is not None:
+                forcings.append(weakref.ref(out[0]))
+            return out
+
+        def sampler(state, phi, blocks):
+            seen.append((state, phi, blocks, forcings[-1]() is None))
+
         seen = []
-        p.run(FlowOptions(t_end=0.2, dt_max=0.01, sample_interval=0.05),
-              sampler=lambda t, phi, rhs, g: seen.append((t, phi, rhs, g)))
-        assert len(seen) == 4
-        for t, phi, rhs, g in seen:
-            ref_rhs, ref_g = p.rhs(phi, t)
-            assert np.max(np.abs(rhs - ref_rhs)) < 1e-13
-            for block in ("bb", "bf", "ff"):
-                gap = np.abs(getattr(g, block) - getattr(ref_g, block))
-                assert np.max(gap) < 1e-13
+        monkeypatch.setattr(_Imex2Stepper, "__call__", recorded)
+        res = p.run(FlowOptions(t_end=0.2, dt_max=0.01, sample_interval=0.05), sampler=sampler)
+        assert len(seen) == len(forcings) == 4
+        for (state, phi, blocks, released), kept in zip(seen, res.states):
+            assert state is kept and released
+            ref_rhs, ref_g = p.rhs(phi, state.t)
+            assert abs(state.sup_phidot - np.max(np.abs(ref_rhs))) < 1e-13
+            for block, ref in zip(blocks, (ref_g.bb, ref_g.bf.real, ref_g.bf.imag, ref_g.ff)):
+                assert np.max(np.abs(block - ref)) < 1e-13
 
 
 class TestSchemeAgreement:
